@@ -70,48 +70,65 @@ def _quad(f, lo, hi, tol, limit):
         # roundoff warnings are expected near the tolerance floor; the error
         # estimate is checked explicitly by the caller
         warnings.simplefilter("ignore", _sci_integrate.IntegrationWarning)
-        val, err = _sci_integrate.quad(f, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=limit)
-    return val, err
+        # epsrel=0: stop on the same absolute tolerance that the caller checks
+        return _sci_integrate.quad(f, lo, hi, epsabs=tol / 4.0, epsrel=0.0, limit=limit)
+
+
+def _log_substituted(f):
+    """f(x) dx under x = e^{-t}, i.e. f(e^{-t}) e^{-t} dt.
+
+    Once e^{-t} underflows to 0 the integrand is taken as 0: f(x)*x -> 0 at a
+    logarithmically singular endpoint.
+    """
+
+    def g(t: float) -> float:
+        x = math.exp(-t)
+        return f(x) * x if x > 0.0 else 0.0
+
+    return g
 
 
 def integrate(f: Callable[[float], float], spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Adaptive quadrature of ``f`` over the interval described by ``spec``.
 
-    Endpoint log-singularities at 0 are handled by the substitution
-    x = e^{-t}; a tanh-sinh fallback covers cases where the adaptive
-    Gauss-Kronrod estimate misses the tolerance.
+    QUADPACK's adaptive Gauss-Kronrod runs to the pure absolute tolerance
+    ``spec.abs_tol`` (no relative stopping rule).  A log-singularity at 0 is
+    handled by the substitution x = e^{-t}, which is safe against the
+    underflow of e^{-t}.  If QUADPACK misses the tolerance, a tanh-sinh
+    fallback (mpmath, 30 digits) runs; it raises ``AccuracyError`` when its
+    own error estimate misses the tolerance too.
     """
     singular = spec.lower == ZERO_LOG_SINGULAR
     lo = 0.0 if singular else float(spec.lower)
-    infinite = spec.upper == POSITIVE_INFINITY
-    hi = np.inf if infinite else float(spec.upper)
+    hi = math.inf if spec.upper == POSITIVE_INFINITY else float(spec.upper)
     tol = spec.abs_tol
     limit = spec.max_depth
 
     try:
-        if singular:
-            # x = e^{-t} maps (0, min(hi,1)] onto [t0, inf) and tames the log
-            g = lambda t: f(math.exp(-t)) * math.exp(-t)
-            if infinite or hi > 1.0:
-                v1, e1 = _quad(g, 0.0, np.inf, tol, limit)
-                v2, e2 = _quad(f, 1.0, hi, tol, limit)
-                value, err = v1 + v2, e1 + e2
-            else:
-                value, err = _quad(g, -math.log(hi), np.inf, tol, limit)
+        if singular and hi > 1.0:
+            # x = e^{-t} maps (0, 1] onto [0, inf) and tames the log
+            v1, e1 = _quad(_log_substituted(f), 0.0, math.inf, tol, limit)
+            v2, e2 = _quad(f, 1.0, hi, tol, limit)
+            value, err = v1 + v2, e1 + e2
+        elif singular:
+            value, err = _quad(_log_substituted(f), -math.log(hi), math.inf, tol, limit)
         else:
             value, err = _quad(f, lo, hi, tol, limit)
-    except Exception:
+    except (ArithmeticError, ValueError):
         value, err = math.nan, math.inf
+    if err <= tol and math.isfinite(value):
+        return value
 
+    # tanh-sinh fallback, accepted only on its own error estimate
+    points = [lo, 1.0, hi] if lo < 1.0 < hi else [lo, hi]
+    try:
+        with mpmath.workdps(30):
+            value, err = mpmath.quad(lambda t: f(float(t)), points, error=True)
+    except (ArithmeticError, ValueError):
+        raise AccuracyError("quadrature failed to converge", err) from None
+    value, err = float(value), float(err)
     if not (err <= tol and math.isfinite(value)):
-        # tanh-sinh fallback
-        try:
-            mp_hi = mpmath.inf if infinite else hi
-            with mpmath.workdps(30):
-                value2 = float(mpmath.quad(lambda t: f(float(t)), [lo, 1.0, mp_hi] if (infinite or hi > 1.0) else [lo, mp_hi]))
-        except Exception:
-            raise AccuracyError("quadrature failed to converge", value) from None
-        value = value2
+        raise AccuracyError(f"tanh-sinh error estimate {err:.3g} exceeds tolerance {tol:.3g}", err)
     return value
 
 

@@ -237,7 +237,6 @@ def verify_all(
         for e in builtin_catalog()
         if (group is None or e.group == group) and (entry_id is None or e.id == entry_id)
     ]
-    entries.sort(key=lambda e: e.id)
     return [verify_entry(e, tol=tol, seed=seed) for e in entries]
 
 

@@ -68,9 +68,23 @@ def raw_moment(s: float) -> float:
     return gamma_fn(s + 1.0) * zeta_fn(s + 2.0)
 
 
+_LN2 = math.log(2.0)
+
+
+def _log1mexp(x: float) -> float:
+    """ln(1 - e^{-x}) for x > 0 without cancellation.
+
+    Maechler's split ("Accurately computing log(1 - exp(-|a|))", 2012):
+    log(-expm1(-x)) below ln 2, log1p(-exp(-x)) above it.
+    """
+    if x < _LN2:
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
+
+
 def raw_moment_quad(s: float, tol: float = 1e-10) -> float:
     """Quadrature oracle for the raw moment."""
-    f = lambda x: x ** s * (-math.log(-math.expm1(-x)))
+    f = lambda x: -(x ** s) * _log1mexp(x)
     lower = "zero-with-log-singularity" if s < 1.0 else 0.0
     return integrate(f, QuadratureSpec(lower=lower, upper=POSITIVE_INFINITY, abs_tol=tol))
 
@@ -83,7 +97,7 @@ def combined_zeta_gamma_residual(s: float, tol: float = 1e-9) -> float:
 
     def f(x: float) -> float:
         e = -math.expm1(-x)  # 1 - e^{-x}, overflow-free for large x
-        return c * x ** (s - 1.0) * math.exp(-x) / e - x ** s * (-math.log(e))
+        return c * x ** (s - 1.0) * math.exp(-x) / e + x ** s * _log1mexp(x)
 
     return integrate(f, QuadratureSpec(lower=0.0, upper=POSITIVE_INFINITY, abs_tol=tol))
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from scipy.special import zeta as _scipy_zeta
 
 __all__ = [
-    "ComplexValue",
     "EvalOptions",
     "li2_real",
     "li2_complex",
@@ -32,9 +31,6 @@ __all__ = [
     "PI2_6",
     "PI2_12",
 ]
-
-# The universal complex return type: a plain complex number (re, im pair).
-ComplexValue = complex
 
 PI2_6 = math.pi ** 2 / 6.0
 PI2_12 = math.pi ** 2 / 12.0

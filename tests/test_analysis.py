@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from gemini_dilog import analysis
+from gemini_dilog import analysis, gemini
 from gemini_dilog.analysis import (
     POSITIVE_INFINITY,
     ZERO_LOG_SINGULAR,
+    AccuracyError,
     BracketError,
     NamedConstant,
     QuadratureSpec,
@@ -48,6 +49,47 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_depth=3)
+
+
+class TestQuadpackConverges:
+    """Catalog-type integrals meet their tolerance without the fallback."""
+
+    def test_log_singular_substitution_survives_underflow(self, fallback_calls):
+        # int_0^inf g_1 = pi^2/4; the substituted integrand is sampled where
+        # e^{-t} underflows to 0
+        f = lambda x: gemini.value(gemini.GeminiParams(1.0), x)
+        got = integrate(f, QuadratureSpec(lower=ZERO_LOG_SINGULAR, abs_tol=1e-12))
+        assert abs(got - math.pi ** 2 / 4.0) <= 1e-12
+        assert fallback_calls == []
+
+    @pytest.mark.parametrize("a", [10.0, 20.0])
+    def test_absolute_stopping_rule(self, fallback_calls, a):
+        # the median half-area tail of g11-median-equation, to an absolute 1e-12
+        p = gemini.GeminiParams(a)
+        tail = integrate(lambda x: gemini.value(p, x),
+                         QuadratureSpec(lower=gemini.median(a), abs_tol=1e-12))
+        assert tail == pytest.approx(0.5 * gemini.total_area(p), abs=1e-10)
+        assert fallback_calls == []
+
+
+class TestTanhSinhFallback:
+    # ten Gauss-Kronrod subintervals cannot isolate the kink at x = 1; the
+    # fallback splits [0, 2] there
+    SPEC = QuadratureSpec(lower=0.0, upper=2.0, abs_tol=1e-12, max_depth=10)
+
+    def test_converges(self, fallback_calls):
+        got = integrate(lambda x: math.sqrt(abs(x - 1.0)), self.SPEC)
+        assert len(fallback_calls) == 1
+        assert got == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+    def test_raises_when_its_estimate_misses(self, fallback_calls):
+        # int_0^2 |x-1|^{-1/2} = 4: tanh-sinh on binary64 samples stops near
+        # 1e-8 and says so
+        f = lambda x: abs(x - 1.0) ** -0.5 if x != 1.0 else 0.0
+        with pytest.raises(AccuracyError) as info:
+            integrate(f, self.SPEC)
+        assert len(fallback_calls) == 1
+        assert info.value.estimate > self.SPEC.abs_tol
 
 
 class TestFindRoot:

@@ -110,6 +110,10 @@ class TestVerifyEntry:
 
 
 class TestVerifyAll:
+    def test_no_tanh_sinh_fallback(self, fallback_calls):
+        verify_all(seed=42)
+        assert fallback_calls == []
+
     def test_ordered_by_id(self):
         reports = verify_all()
         ids = [r.id for r in reports]

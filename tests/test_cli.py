@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +61,13 @@ class TestEval:
             run_cli(capsys, "eval", "li2", "one")
         assert exc.value.code == 2
         assert capsys.readouterr().err != ""
+
+
+def test_python_dash_m_runs_main():
+    done = subprocess.run([sys.executable, "-m", "gemini_dilog.cli", "eval", "li2", "0.5"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "0.582240526465012\n"
 
 
 class TestConstants:

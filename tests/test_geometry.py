@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from gemini_dilog import geometry
@@ -62,6 +63,16 @@ class TestMoments:
     def test_closed_vs_quadrature(self, s):
         assert geometry.raw_moment(s) == pytest.approx(
             geometry.raw_moment_quad(s), abs=1e-8)
+
+    @pytest.mark.parametrize("s", [0.25 * i for i in range(33)])
+    def test_quadrature_matches_mpmath(self, fallback_calls, s):
+        with mpmath.workdps(30):
+            ref = float(mpmath.gamma(s + 1) * mpmath.zeta(s + 2))
+        # 1e-11 absolute while the moment is below 100 (s < 4.9); beyond that
+        # QUADPACK's roundoff floor, 50 eps int|f|, needs a relative 1e-13
+        tol = max(1e-11, 1e-13 * ref)
+        assert abs(geometry.raw_moment_quad(s, tol=tol) - ref) <= tol
+        assert fallback_calls == []
 
     def test_zeroth_moment_is_area(self):
         assert geometry.raw_moment(0.0) == pytest.approx(PI ** 2 / 6.0,
