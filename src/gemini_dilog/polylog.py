@@ -3,19 +3,27 @@
 All evaluators work in binary64 arithmetic.  Complex results are returned as
 Python ``complex`` values; purely real quantities as ``float``.  Real
 arguments x > 1 of the dilogarithm are evaluated on the lower lip of the
-branch cut, i.e. Li2(x) = Re{Li2(x)} - i*pi*ln(x).
+branch cut, i.e. Li2(x) = Re{Li2(x)} - i*pi*ln(x); a complex argument with a
+zero imaginary part of either sign follows the same convention.
+
+Li2 and Li3 each have one series kernel: a fixed-degree Bernoulli series in
+w = -ln(1-z) ('t Hooft & Veltman, Nucl. Phys. B153 (1979) 365; Maximon,
+Proc. R. Soc. A 459 (2003) 2807), evaluated by Horner's rule on the reduced
+domain |z| <= 1, Re z <= 1/2, where |w| <= pi/3 (|w| <= ln 2 for real
+arguments).  Any argument reaches that domain in at most one inversion
+z -> 1/z followed by at most one reflection z -> 1 - z (for Li3 on (1/2, 1),
+the three-term identity); nothing recurses and no loop runs to a tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
 
 from scipy.special import zeta as _scipy_zeta
 
 __all__ = [
-    "EvalOptions",
     "li2_real",
     "li2_complex",
     "li3_real",
@@ -39,10 +47,11 @@ PI2_12 = math.pi ** 2 / 12.0
 # in the test suite against an accelerated brute-force summation).
 _CATALAN = 0.915965594177219015
 
-# Bernoulli numbers B_0 .. B_30 (odd ones beyond B_1 vanish).
+# Apery's constant zeta(3), cross-checked in the test suite against mpmath.
+_ZETA3 = 1.2020569031595942
+
+# Even Bernoulli numbers B_2 .. B_30 of the trigamma asymptotic expansion.
 _BERNOULLI = {
-    0: 1.0,
-    1: -0.5,
     2: 1.0 / 6.0,
     4: -1.0 / 30.0,
     6: 1.0 / 42.0,
@@ -60,22 +69,34 @@ _BERNOULLI = {
     30: 8615841276005.0 / 14322.0,
 }
 
+# B_{2n}/(2n+1)! for n = 1..12:  Li2(z) = w - w^2/4 + w * sum_n a_n w^(2n),
+# w = -ln(1-z).  The series converges for |w| < 2*pi; at |w| = pi/3 the first
+# omitted term is below 1e-21 relative to w.
+_LI2_COEFFS = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+    -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+    8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
+    -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21,
+)
 
-@dataclass(frozen=True)
-class EvalOptions:
-    """Accuracy knobs for the series evaluators."""
+# c_m = sum_{k=1..m} B_{k-1} B_{m-k} / (k! (m-k)! m) for m = 1..20:
+# Li3(x) = sum_m c_m u^m, u = -ln(1-x), from dLi3/du = Li2/(e^u - 1).  On
+# the reduced domain |u| <= ln 2 the first omitted term is below 2e-20
+# relative to u.
+_LI3_COEFFS = (
+    1.0, -0.375, 0.0787037037037037,
+    -0.008680555555555556, 0.00012962962962962963, 8.101851851851852e-05,
+    -3.4193571608537595e-06, -1.328656462585034e-06, 8.660871756109851e-08,
+    2.52608759553204e-08, -2.144694468364065e-09, -5.140110622012979e-10,
+    5.24958211460083e-11, 1.0887754406636318e-11, -1.2779396094493695e-12,
+    -2.369824177308745e-13, 3.104357887965462e-14, 5.261758629912506e-15,
+    -7.538479549949265e-16, -1.1862322577752286e-16,
+)
+_LI2_HORNER = _LI2_COEFFS[::-1]
+_LI3_HORNER = _LI3_COEFFS[:0:-1]  # c_20 .. c_2; c_1 = 1 is applied last
 
-    abs_tol: float = 1e-16
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0):
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be at least 16")
-
-
-_DEFAULT = EvalOptions()
+# trigamma(x) ~ 1/x^2 overflows binary64 below this argument
+_TRIGAMMA_MIN = 1.0 / math.sqrt(sys.float_info.max)
 
 
 def _require_finite(x: float, name: str = "x") -> None:
@@ -83,83 +104,57 @@ def _require_finite(x: float, name: str = "x") -> None:
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
-def _li2_taylor(z: complex, opts: EvalOptions) -> complex:
-    """Defining series sum z^k/k^2, for |z| <= 1/2."""
-    term = z
-    total = z
-    k = 1
-    while k < opts.max_terms:
-        k += 1
-        term *= z
-        delta = term / (k * k)
-        total += delta
-        if abs(delta) < opts.abs_tol:
-            break
-    return total
+def _li2_series(w):
+    """Li2(1 - e^-w) for |w| <= pi/3; w may be float or complex."""
+    t = w * w
+    p = 0.0
+    for a in _LI2_HORNER:
+        p = p * t + a
+    # the leading w is added last: one rounding on the dominant term
+    return w + t * (w * p - 0.25)
 
 
-def _li2_log_series(z: complex, opts: EvalOptions) -> complex:
-    """Bernoulli series Li2(z) = sum B_{k-1} w^k / k!, w = -ln(1-z).
-
-    Converges for |w| < 2*pi, which covers the reduced region
-    |z| <= 1, Re z <= 1/2.
-    """
-    w = -cmath.log(1.0 - z)
-    total = 0.0 + 0.0j
-    wk = 1.0 + 0.0j  # w^k / k!
-    for k in range(1, 64):
-        wk *= w / k
-        b = _BERNOULLI.get(k - 1)
-        if b is None:
-            continue
-        delta = b * wk
-        total += delta
-        if k > 2 and abs(delta) < opts.abs_tol:
-            break
-    return total
+def _li3_series(u: float) -> float:
+    """Li3(1 - e^-u) for |u| <= ln 2."""
+    p = 0.0
+    for c in _LI3_HORNER:
+        p = p * u + c
+    return u + u * (u * p)
 
 
-def _li2_real_core(x: float, opts: EvalOptions) -> float:
-    """Real dilogarithm for x <= 1 (real part only for any real x)."""
-    if x == 0.0:
-        return 0.0
+def _li2_real_part(x: float) -> float:
+    """Re Li2(x) for finite real x."""
+    if x < -1.0:
+        # inversion: Li2(x) = -Li2(1/x) - pi^2/6 - ln^2(-x)/2
+        ln = math.log(-x)
+        return -_li2_series(-math.log1p(-1.0 / x)) - PI2_6 - 0.5 * ln * ln
+    if x <= 0.5:
+        return _li2_series(-math.log1p(-x))
     if x == 1.0:
         return PI2_6
-    if x > 2.0:
-        # inversion into (0, 1/2)
-        return math.pi ** 2 / 3.0 - 0.5 * math.log(x) ** 2 - _li2_real_core(1.0 / x, opts)
-    if x > 1.0:
-        # reflection; ln(1-x) contributes only -i*pi*ln(x) to the imaginary part
-        return PI2_6 - math.log(x) * math.log(x - 1.0) - _li2_real_core(1.0 - x, opts)
-    if x > 0.5:
-        return PI2_6 - math.log(x) * math.log(1.0 - x) - _li2_real_core(1.0 - x, opts)
-    if x >= -0.5:
-        return _li2_taylor(complex(x), opts).real
-    if x >= -1.0:
-        # Landen maps [-1, -1/2] into [1/3, 1/2]
-        return -_li2_real_core(x / (x - 1.0), opts) - 0.5 * math.log(1.0 - x) ** 2
-    # x < -1: inversion
-    return (
-        -_li2_real_core(1.0 / x, opts)
-        - PI2_6
-        - 0.5 * math.log(-x) ** 2
-    )
+    ln = math.log(x)
+    if x <= 2.0:
+        # reflection: Li2(x) = pi^2/6 - ln(x) ln(1-x) - Li2(1-x), and
+        # -ln(1-(1-x)) = -ln(x); ln(1-x) contributes only -i*pi*ln(x) for x > 1
+        return PI2_6 - ln * math.log(abs(1.0 - x)) - _li2_series(-ln)
+    # inversion into (0, 1/2): Re Li2(x) = pi^2/3 - ln^2(x)/2 - Li2(1/x)
+    return 2.0 * PI2_6 - 0.5 * ln * ln - _li2_series(-math.log1p(-1.0 / x))
 
 
-def li2_real(x: float, options: EvalOptions = _DEFAULT) -> complex:
+def li2_real(x: float) -> complex:
     """Dilogarithm of a real argument.
 
     Returns a complex number; for x <= 1 it is purely real.  For x > 1 the
     value is taken on the lower lip of the cut: Re{Li2(x)} - i*pi*ln(x).
     """
     _require_finite(x)
-    re = _li2_real_core(float(x), options)
+    x = float(x)
     if x > 1.0:
-        return complex(re, -math.pi * math.log(x))
-    return complex(re, 0.0)
+        return complex(_li2_real_part(x), -math.pi * math.log(x))
+    return complex(_li2_real_part(x), 0.0)
 
 
-def li2_complex(z: complex, options: EvalOptions = _DEFAULT) -> complex:
+def li2_complex(z: complex) -> complex:
     """Principal-branch dilogarithm of a complex argument.
 
     On the cut (z real, z > 1) the lower-lip limit is used, matching
@@ -169,81 +164,62 @@ def li2_complex(z: complex, options: EvalOptions = _DEFAULT) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("argument must be finite")
     if z.imag == 0.0:
-        return li2_real(z.real, options)
-    r = abs(z)
-    if r > 1.0:
-        # Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2
-        return (
-            -li2_complex(1.0 / z, options)
-            - PI2_6
-            - 0.5 * cmath.log(-z) ** 2
-        )
+        return li2_real(z.real)
+    # Li2(z) = acc + sign * Li2(z') after the reductions below
+    acc, sign = 0.0, 1.0
+    if math.hypot(z.real, z.imag) > 1.0:  # abs(z) raises OverflowError near DBL_MAX
+        # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2
+        acc, sign = -PI2_6 - 0.5 * cmath.log(-z) ** 2, -1.0
+        z = 1.0 / z
     if z.real > 0.5:
-        return (
-            PI2_6
-            - cmath.log(z) * cmath.log(1.0 - z)
-            - li2_complex(1.0 - z, options)
-        )
-    if r <= 0.5:
-        return _li2_taylor(z, options)
-    return _li2_log_series(z, options)
+        # reflection: Li2(z) = pi^2/6 - ln(z) ln(1-z) - Li2(1-z), and
+        # -ln(1-(1-z)) = -ln(z) because 1-z is exact for Re z in [1/2, 2]
+        ln = cmath.log(z)
+        acc += sign * (PI2_6 - ln * cmath.log(1.0 - z))
+        return acc - sign * _li2_series(-ln)
+    # w = -log1p(-z) by Kahan's trick: cmath has no log1p, and the rounding
+    # of u = 1 - z would otherwise cost digits for small |z|
+    u = 1.0 - z
+    w = z if u == 1.0 else -cmath.log(u) * (z / (1.0 - u))
+    return acc + sign * _li2_series(w)
 
 
-def _li3_taylor(x: float, opts: EvalOptions) -> float:
-    term = x
-    total = x
-    k = 1
-    while k < opts.max_terms:
-        k += 1
-        term *= x
-        delta = term / (k * k * k)
-        total += delta
-        if abs(delta) < opts.abs_tol:
-            break
-    return total
-
-
-def li3_real(x: float, options: EvalOptions = _DEFAULT) -> float:
+def li3_real(x: float) -> float:
     """Trilogarithm for real x <= 1."""
     _require_finite(x)
     if x > 1.0:
         raise ValueError("li3_real requires x <= 1")
-    if x == 0.0:
-        return 0.0
     if x == 1.0:
-        return zeta3()
+        return _ZETA3
     if x < -1.0:
-        # inversion: Li3(-y) = Li3(-1/y) - pi^2/6*ln(y) - ln^3(y)/6, y = -x > 1
-        y = -x
-        ln = math.log(y)
-        return li3_real(-1.0 / y, options) - PI2_6 * ln - ln ** 3 / 6.0
-    if x < -0.5:
-        # duplication: Li3(x) + Li3(-x) = Li3(x^2)/4
-        return 0.25 * li3_real(x * x, options) - li3_real(-x, options)
-    if x > 0.5:
-        # Li3(x) + Li3(1-x) + Li3(1-1/x) = zeta(3) + ln^3(x)/6
-        #   + (pi^2/6)*ln(x) - ln^2(x)*ln(1-x)/2
-        ln = math.log(x)
-        return (
-            zeta3()
-            + ln ** 3 / 6.0
-            + PI2_6 * ln
-            - 0.5 * ln ** 2 * math.log(1.0 - x)
-            - li3_real(1.0 - x, options)
-            - li3_real(1.0 - 1.0 / x, options)
-        )
-    return _li3_taylor(x, options)
+        # inversion: Li3(x) = Li3(1/x) - pi^2/6*ln(-x) - ln^3(-x)/6
+        ln = math.log(-x)
+        return _li3_series(-math.log1p(-1.0 / x)) - PI2_6 * ln - ln ** 3 / 6.0
+    if x <= 0.5:
+        return _li3_series(-math.log1p(-x))
+    # Li3(x) + Li3(1-x) + Li3(1-1/x) = zeta(3) + ln^3(x)/6
+    #   + (pi^2/6)*ln(x) - ln^2(x)*ln(1-x)/2,
+    # where -ln(1-(1-x)) = -ln(x) and -ln(1-(1-1/x)) = ln(x)
+    ln = math.log(x)
+    return (
+        _ZETA3
+        + ln ** 3 / 6.0
+        + PI2_6 * ln
+        - 0.5 * ln ** 2 * math.log(1.0 - x)
+        - _li3_series(-ln)
+        - _li3_series(ln)
+    )
 
 
-def chi2(x: float, options: EvalOptions = _DEFAULT) -> float:
+def chi2(x: float) -> float:
     """Legendre chi function chi2(x) = [Li2(x) - Li2(-x)]/2, |x| <= 1."""
     _require_finite(x)
     if abs(x) > 1.0:
         raise ValueError("chi2 requires |x| <= 1")
-    return 0.5 * (li2_real(x, options).real - li2_real(-x, options).real)
+    return 0.5 * (_li2_real_part(x) - _li2_real_part(-x))
 
 
-def clausen_cl2(theta: float, options: EvalOptions = _DEFAULT) -> float:
+def clausen_cl2(theta: float) -> float:
     """Clausen function Cl2(theta) = Im{Li2(e^{i*theta})}; 2pi-periodic, odd."""
     _require_finite(theta, "theta")
     t = math.fmod(theta, 2.0 * math.pi)
@@ -251,17 +227,23 @@ def clausen_cl2(theta: float, options: EvalOptions = _DEFAULT) -> float:
         t += 2.0 * math.pi
     if t == 0.0 or t == math.pi:
         return 0.0
-    # odd symmetry about pi keeps the argument away from the slow corner 2pi
+    # odd symmetry about pi: Cl2(t) = -Cl2(2pi - t)
     if t > math.pi:
-        return -clausen_cl2(2.0 * math.pi - t, options)
-    return li2_complex(cmath.exp(1j * t), options).imag
+        return -clausen_cl2(2.0 * math.pi - t)
+    return li2_complex(cmath.exp(1j * t)).imag
 
 
-def trigamma(x: float, options: EvalOptions = _DEFAULT) -> float:
-    """Trigamma psi1(x) = sum 1/(n+x)^2 for x > 0."""
+def trigamma(x: float) -> float:
+    """Trigamma psi1(x) = sum 1/(n+x)^2 for x > 0.
+
+    Raises ValueError below x = 1/sqrt(DBL_MAX) ~ 7.5e-155, where the value
+    ~ 1/x^2 overflows binary64.
+    """
     _require_finite(x)
-    if x <= 0.0:
-        raise ValueError("trigamma requires x > 0")
+    if x < _TRIGAMMA_MIN:
+        if x <= 0.0:
+            raise ValueError("trigamma requires x > 0")
+        raise ValueError(f"trigamma({x!r}) overflows binary64")
     # shift the argument above 10, then Bernoulli asymptotic expansion
     acc = 0.0
     while x < 10.0:
@@ -278,7 +260,7 @@ def trigamma(x: float, options: EvalOptions = _DEFAULT) -> float:
     return acc + total
 
 
-def li2_unit_circle(p: int, q: int, options: EvalOptions = _DEFAULT) -> complex:
+def li2_unit_circle(p: int, q: int) -> complex:
     """Li2(e^{i*pi*p/q}) from the real-part parabola rule and Cl2.
 
     Re = pi^2/6 - (2*pi*theta - theta^2)/4 with theta reduced to [0, 2pi);
@@ -291,7 +273,7 @@ def li2_unit_circle(p: int, q: int, options: EvalOptions = _DEFAULT) -> complex:
     if theta < 0.0:
         theta += 2.0 * math.pi
     re = PI2_6 - (2.0 * math.pi * theta - theta * theta) / 4.0
-    return complex(re, clausen_cl2(theta, options))
+    return complex(re, clausen_cl2(theta))
 
 
 def gamma_fn(s: float) -> float:
@@ -322,4 +304,4 @@ def gieseking() -> float:
 
 def zeta3() -> float:
     """Apery's constant zeta(3)."""
-    return float(_scipy_zeta(3.0))
+    return _ZETA3

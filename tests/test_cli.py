@@ -56,6 +56,13 @@ class TestEval:
             run_cli(capsys, "eval", "li9", "1")
         assert exc.value.code == 2
 
+    def test_trigamma_overflow_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "eval", "trigamma", "5e-324")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "gemini-dilog: error: trigamma(5e-324) overflows binary64"
+
     def test_non_numeric_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "eval", "li2", "one")
@@ -68,6 +75,14 @@ def test_python_dash_m_runs_main():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout == "0.582240526465012\n"
+    assert done.stderr == ""
+
+
+def test_cli_is_an_attribute_of_the_package():
+    done = subprocess.run([sys.executable, "-c",
+                           "import gemini_dilog; print(gemini_dilog.cli.__name__)"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "gemini_dilog.cli\n", "")
 
 
 class TestConstants:

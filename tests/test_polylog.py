@@ -4,7 +4,9 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
+from scipy import special
 
 from gemini_dilog import polylog
 
@@ -59,6 +61,11 @@ class TestLi2Complex:
         a = polylog.li2_complex(z.conjugate())
         b = polylog.li2_complex(z).conjugate()
         assert abs(a - b) < 5e-14
+
+    def test_huge_modulus_is_finite(self):
+        z = complex(1.7e308, 1.7e308)
+        got = polylog.li2_complex(z)
+        assert abs(got - mp_li2(z)) <= 1e-15 * abs(got)
 
     def test_real_axis_matches_li2_real(self):
         for x in (-2.0, 0.4, 0.9, 2.5):
@@ -135,6 +142,16 @@ class TestTrigamma:
         with pytest.raises(ValueError):
             polylog.trigamma(0.0)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-160, math.nextafter(polylog._TRIGAMMA_MIN, 0.0)])
+    def test_overflow_is_a_value_error(self, x):
+        with pytest.raises(ValueError, match="overflows"):
+            polylog.trigamma(x)
+
+    def test_smallest_argument_is_finite(self):
+        x = polylog._TRIGAMMA_MIN
+        assert math.isfinite(polylog.trigamma(x))
+        assert polylog.trigamma(1e-150) == pytest.approx(1e300, rel=1e-15)
+
 
 class TestUnitCircle:
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (1, 5), (3, 5),
@@ -168,6 +185,10 @@ class TestConstants:
     def test_zeta3(self):
         assert polylog.zeta3() == pytest.approx(1.2020569031595943, abs=1e-15)
 
+    def test_zeta3_literal_is_correctly_rounded(self):
+        with mpmath.workdps(40):
+            assert polylog.zeta3() == float(mpmath.zeta(3))
+
     def test_zeta_domain(self):
         with pytest.raises(ValueError):
             polylog.zeta_fn(1.0)
@@ -175,14 +196,126 @@ class TestConstants:
             polylog.gamma_fn(0.0)
 
 
-class TestEvalOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            polylog.EvalOptions(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            polylog.EvalOptions(max_terms=2)
+class TestSeriesCoefficients:
+    """The kernel's float tables, regenerated from mpmath's Bernoulli numbers."""
 
-    def test_loose_tolerance_still_sane(self):
-        opts = polylog.EvalOptions(abs_tol=1e-8)
-        assert polylog.li2_real(0.5, opts).real == pytest.approx(
-            PI2 / 12.0 - math.log(2.0) ** 2 / 2.0, abs=1e-7)
+    def test_li2_table(self):
+        with mpmath.workdps(40):
+            ref = [float(mpmath.bernoulli(2 * n) / mpmath.factorial(2 * n + 1))
+                   for n in range(1, 13)]
+        assert list(polylog._LI2_COEFFS) == ref
+
+    def test_li3_table(self):
+        b, fact = mpmath.bernoulli, mpmath.factorial
+        with mpmath.workdps(40):
+            ref = [float(sum(b(k - 1) * b(m - k) / (fact(k) * fact(m - k))
+                             for k in range(1, m + 1)) / m)
+                   for m in range(1, 21)]
+        assert list(polylog._LI3_COEFFS) == ref
+
+
+def _li2_ref(z):
+    """30-digit Li2 on the lower-lip convention, and the scale max(|f|, |z f'|).
+
+    Rounding the argument alone moves Li2 by about u*|z Li2'(z)| = u*|ln(1-z)|,
+    so errors are measured relative to that scale as well as to |Li2|.
+    """
+    with mpmath.workdps(30):
+        z = complex(z)
+        if z.imag == 0.0:
+            x = mpmath.mpf(z.real)
+            v = mpmath.polylog(2, x)
+            if x > 1:
+                v = mpmath.mpc(mpmath.re(v), -mpmath.pi * mpmath.log(x))
+            xdf = mpmath.log(1 - mpmath.mpc(x))
+        else:
+            zz = mpmath.mpc(z.real, z.imag)
+            v, xdf = mpmath.polylog(2, zz), mpmath.log(1 - zz)
+        return complex(v), float(max(abs(v), abs(xdf)))
+
+
+def _worst(fn, ref, points):
+    """Largest conditioning-relative error of ``fn`` over ``points``, and where."""
+    worst = (0.0, None)
+    for p in points:
+        value, scale = ref(p)
+        err = abs(complex(fn(p)) - value) / scale
+        worst = max(worst, (err, p), key=lambda e: e[0])
+    return worst
+
+
+def _unit_circle_points(radius, n=120):
+    return [cmath.rect(radius, math.pi * (k + 0.5) / n - math.pi) for k in range(2 * n)]
+
+
+class TestAgainstMpmath:
+    """Worst errors over whole domains; the bounds are the pre-kernel figures.
+
+    Li2 real 5.0e-16, Li2 complex 8.5e-16, Li2 within 1e-12 of |z| = 1
+    1.2e-15, Li3 8.4e-16, all relative to max(|f|, |z f'|).
+    """
+
+    def test_li2_real_whole_line(self):
+        logs = np.geomspace(1e-300, 1e6, 400)
+        special_points = [0.5, -0.5, 1.0, -1.0, 2.0]
+        special_points += [1.0 + s * 10.0 ** -k for k in range(1, 16) for s in (1, -1)]
+        points = [float(x) for x in np.concatenate([logs, -logs, np.linspace(-3.0, 3.0, 120)])]
+        err, at = _worst(polylog.li2_real, _li2_ref, points + special_points)
+        assert err <= 5.0e-16, f"error {err:.3e} at x = {at!r}"
+
+    def test_li2_complex_domains(self):
+        points = _unit_circle_points(0.5, 60)
+        points += [complex(0.5, y) for y in np.linspace(-3.0, 3.0, 120)]
+        points += [complex(0.5, s * y) for y in np.geomspace(1e-12, 1e3, 60) for s in (1, -1)]
+        points += [1.0 + cmath.rect(r, t) for r in np.geomspace(1e-15, 0.3, 40)
+                   for t in np.linspace(-3.0, 3.0, 7)]
+        points += [complex(x, y) for x in np.linspace(-4.0, 4.0, 17)
+                   for y in np.linspace(-4.0, 4.0, 17) if y != 0.0]
+        err, at = _worst(polylog.li2_complex, _li2_ref, points)
+        assert err <= 8.5e-16, f"error {err:.3e} at z = {at!r}"
+
+    def test_li2_complex_near_unit_circle(self):
+        points = [z for r in (1.0, 1.0 - 1e-12, 1.0 + 1e-12) for z in _unit_circle_points(r)]
+        err, at = _worst(polylog.li2_complex, _li2_ref, points)
+        assert err <= 1.2e-15, f"error {err:.3e} at z = {at!r}"
+
+    def test_li2_complex_signed_zero_imaginary_part(self):
+        # both signs of a zero imaginary part give li2_real, lower lip included
+        for x in (-7.0, -1.0, -0.3, 0.0, 0.4, 0.9, 1.0, 1.5, 2.0, 9.0):
+            for im in (0.0, -0.0):
+                assert polylog.li2_complex(complex(x, im)) == polylog.li2_real(x)
+
+    def test_li3_real_line(self):
+        def ref(x):
+            with mpmath.workdps(30):
+                v = mpmath.polylog(3, mpmath.mpf(x))
+                return float(v), float(max(abs(v), abs(mpmath.polylog(2, mpmath.mpf(x)))))
+
+        logs = np.geomspace(1e-300, 1e6, 200)
+        points = [float(x) for x in np.concatenate([-logs, np.linspace(-1.5, 1.0, 200)])]
+        points += [1.0 - 10.0 ** -k for k in range(1, 16)] + [-1.0, -0.5, 0.5, 1.0]
+        err, at = _worst(polylog.li3_real, ref, points)
+        assert err <= 8.4e-16, f"error {err:.3e} at x = {at!r}"
+
+
+class TestAgainstSpence:
+    """scipy's spence as a second, independent oracle: Li2(z) = spence(1 - z).
+
+    spence's argument 1 - z is rounded, which costs up to u*|Li2'| absolute,
+    so the error is measured against max(|Li2|, 1); measured worst 2.0e-15.
+    """
+
+    def test_ten_thousand_points(self):
+        rng = np.random.default_rng(20250907)
+        x = np.concatenate([rng.uniform(-3.0, 3.0, 3000),
+                            -np.exp(rng.uniform(-20.0, 14.0, 1000)),
+                            np.exp(rng.uniform(-20.0, 14.0, 1000))])
+        z = rng.uniform(-3.0, 3.0, 5000) + 1j * rng.uniform(-3.0, 3.0, 5000)
+        got = np.array([polylog.li2_real(float(v)) for v in x]
+                       + [polylog.li2_complex(complex(v)) for v in z])
+        # real points take the real spence; on the cut, the lower lip is spence(1 - x + 0j)
+        ref = np.concatenate([np.where(x <= 1.0, special.spence(1.0 - x) + 0j,
+                                       special.spence((1.0 - x) + 0j)),
+                              special.spence(1.0 - z)])
+        err = np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
+        assert err.max() <= 1e-14
