@@ -5,9 +5,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
 from scipy import integrate as _sci_integrate
 from scipy import optimize as _sci_optimize
@@ -17,7 +16,6 @@ from .polylog import PI2_6, chi2, li2_real
 __all__ = [
     "AccuracyError",
     "BracketError",
-    "QuadratureSpec",
     "NamedConstant",
     "integrate",
     "find_root",
@@ -27,9 +25,6 @@ __all__ = [
     "constant_by_id",
     "solve_constant",
 ]
-
-ZERO_LOG_SINGULAR = "zero-with-log-singularity"
-POSITIVE_INFINITY = "positive-infinity"
 
 
 class AccuracyError(RuntimeError):
@@ -44,91 +39,32 @@ class BracketError(ValueError):
     """Root bracket does not straddle a sign change."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Integration request.
+def integrate(
+    f: Callable[[float], float], lo: float = 0.0, hi: float = math.inf, tol: float = 1e-10
+) -> float:
+    """Integral of ``f`` over [lo, hi] (``hi`` may be ``math.inf``) to absolute error ``tol``.
 
-    ``lower`` may be a real number or the sentinel ``ZERO_LOG_SINGULAR``
-    (lower limit 0 with an integrable logarithmic singularity); ``upper``
-    may be a real number or ``POSITIVE_INFINITY``.
+    One QUADPACK call (adaptive Gauss-Kronrod with epsilon-algorithm
+    extrapolation) run to the pure absolute tolerance, with no relative
+    stopping rule.  QUADPACK never samples an endpoint, so an integrable
+    singularity there, such as ln x at 0, needs no special treatment.
+    Raises ``ValueError`` for ``tol <= 0`` and ``AccuracyError`` (carrying
+    QUADPACK's error estimate) when that estimate exceeds ``tol`` or when
+    ``f`` raises ``ArithmeticError`` or ``ValueError``.
     """
-
-    lower: Union[float, str] = 0.0
-    upper: Union[float, str] = POSITIVE_INFINITY
-    abs_tol: float = 1e-10
-    max_depth: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0):
-            raise ValueError("abs_tol must be positive")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
-
-
-def _quad(f, lo, hi, tol, limit):
-    with warnings.catch_warnings():
-        # roundoff warnings are expected near the tolerance floor; the error
-        # estimate is checked explicitly by the caller
-        warnings.simplefilter("ignore", _sci_integrate.IntegrationWarning)
-        # epsrel=0: stop on the same absolute tolerance that the caller checks
-        return _sci_integrate.quad(f, lo, hi, epsabs=tol / 4.0, epsrel=0.0, limit=limit)
-
-
-def _log_substituted(f):
-    """f(x) dx under x = e^{-t}, i.e. f(e^{-t}) e^{-t} dt.
-
-    Once e^{-t} underflows to 0 the integrand is taken as 0: f(x)*x -> 0 at a
-    logarithmically singular endpoint.
-    """
-
-    def g(t: float) -> float:
-        x = math.exp(-t)
-        return f(x) * x if x > 0.0 else 0.0
-
-    return g
-
-
-def integrate(f: Callable[[float], float], spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Adaptive quadrature of ``f`` over the interval described by ``spec``.
-
-    QUADPACK's adaptive Gauss-Kronrod runs to the pure absolute tolerance
-    ``spec.abs_tol`` (no relative stopping rule).  A log-singularity at 0 is
-    handled by the substitution x = e^{-t}, which is safe against the
-    underflow of e^{-t}.  If QUADPACK misses the tolerance, a tanh-sinh
-    fallback (mpmath, 30 digits) runs; it raises ``AccuracyError`` when its
-    own error estimate misses the tolerance too.
-    """
-    singular = spec.lower == ZERO_LOG_SINGULAR
-    lo = 0.0 if singular else float(spec.lower)
-    hi = math.inf if spec.upper == POSITIVE_INFINITY else float(spec.upper)
-    tol = spec.abs_tol
-    limit = spec.max_depth
-
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
     try:
-        if singular and hi > 1.0:
-            # x = e^{-t} maps (0, 1] onto [0, inf) and tames the log
-            v1, e1 = _quad(_log_substituted(f), 0.0, math.inf, tol, limit)
-            v2, e2 = _quad(f, 1.0, hi, tol, limit)
-            value, err = v1 + v2, e1 + e2
-        elif singular:
-            value, err = _quad(_log_substituted(f), -math.log(hi), math.inf, tol, limit)
-        else:
-            value, err = _quad(f, lo, hi, tol, limit)
-    except (ArithmeticError, ValueError):
-        value, err = math.nan, math.inf
-    if err <= tol and math.isfinite(value):
-        return value
-
-    # tanh-sinh fallback, accepted only on its own error estimate
-    points = [lo, 1.0, hi] if lo < 1.0 < hi else [lo, hi]
-    try:
-        with mpmath.workdps(30):
-            value, err = mpmath.quad(lambda t: f(float(t)), points, error=True)
-    except (ArithmeticError, ValueError):
-        raise AccuracyError("quadrature failed to converge", err) from None
-    value, err = float(value), float(err)
+        with warnings.catch_warnings():
+            # roundoff warnings are expected near the tolerance floor; the
+            # error estimate is checked below
+            warnings.simplefilter("ignore", _sci_integrate.IntegrationWarning)
+            value, err = _sci_integrate.quad(f, lo, hi, epsabs=tol / 4.0, epsrel=0.0, limit=200)
+    except (ArithmeticError, ValueError) as exc:
+        raise AccuracyError(f"integrand failed: {exc}", math.inf) from exc
     if not (err <= tol and math.isfinite(value)):
-        raise AccuracyError(f"tanh-sinh error estimate {err:.3g} exceeds tolerance {tol:.3g}", err)
+        raise AccuracyError(
+            f"quadrature error estimate {err:.3g} exceeds tolerance {tol:.3g}", err)
     return value
 
 

@@ -22,9 +22,6 @@ from zlib import crc32
 import numpy as np
 
 from .analysis import (
-    POSITIVE_INFINITY,
-    ZERO_LOG_SINGULAR,
-    QuadratureSpec,
     constant_by_id,
     find_root,
     integrate,
@@ -231,12 +228,20 @@ def verify_all(
     tol: float = 1e-9,
     seed: int = 42,
 ) -> list:
-    """Verify the built-in catalog (optionally filtered); reports in id order."""
-    entries = [
-        e
-        for e in builtin_catalog()
-        if (group is None or e.group == group) and (entry_id is None or e.id == entry_id)
-    ]
+    """Verify the built-in catalog (optionally filtered); reports in id order.
+
+    Raises ValueError when ``group`` or ``entry_id`` names no catalog entry.
+    """
+    entries = builtin_catalog()
+    if group is not None:
+        entries = [e for e in entries if e.group == group]
+        if not entries:
+            raise ValueError(f"unknown group: {group}")
+    if entry_id is not None:
+        entries = [e for e in entries if e.id == entry_id]
+        if not entries:
+            where = "" if group is None else f" in group {group}"
+            raise ValueError(f"unknown entry id: {entry_id}{where}")
     return [verify_entry(e, tol=tol, seed=seed) for e in entries]
 
 
@@ -311,10 +316,7 @@ def _inverse_pair(a: float, n: float) -> complex:
 def _median_half_area(a: float) -> complex:
     x1 = median(a)
     p = GeminiParams(a)
-    tail = integrate(
-        lambda x: value(p, x),
-        QuadratureSpec(lower=x1, upper=POSITIVE_INFINITY, abs_tol=1e-12),
-    )
+    tail = integrate(lambda x: value(p, x), x1, math.inf, 1e-12)
     return complex(tail - 0.5 * total_area(p))
 
 
@@ -383,10 +385,7 @@ def _E(
 
 def _g1() -> list:
     def fundamental_integral() -> complex:
-        q = integrate(
-            lambda x: value(GeminiParams(1.0), x),
-            QuadratureSpec(lower=ZERO_LOG_SINGULAR, upper=POSITIVE_INFINITY, abs_tol=1e-12),
-        )
+        q = integrate(lambda x: value(GeminiParams(1.0), x), 0.0, math.inf, 1e-12)
         return complex(q - PI2 / 4.0)
 
     return [
@@ -681,10 +680,7 @@ def _g8() -> list:
 
     def star_area() -> complex:
         closed = 8.0 * lk * ln(K / (K - 1.0)) + 16.0 * L((K - 1.0) / K).real
-        tail = integrate(
-            lambda x: value(GeminiParams(0.0), x),
-            QuadratureSpec(lower=ln(K / (K - 1.0)), upper=POSITIVE_INFINITY, abs_tol=1e-12),
-        )
+        tail = integrate(lambda x: value(GeminiParams(0.0), x), ln(K / (K - 1.0)), math.inf, 1e-12)
         quad = 8.0 * lk * ln(K / (K - 1.0)) + 16.0 * tail
         return complex(closed - quad)
 
@@ -952,10 +948,7 @@ def _g12() -> list:
         return complex(d)
 
     def a_of_p_quad(p: float) -> complex:
-        q = integrate(
-            lambda a: atot_of_a_p(a, p),
-            QuadratureSpec(lower=-1.0 + 1e-12, upper=POSITIVE_INFINITY, abs_tol=1e-10),
-        )
+        q = integrate(lambda a: atot_of_a_p(a, p), -1.0 + 1e-12, math.inf, 1e-10)
         return complex(A_of_p(p) - q)
 
     def median_zero_p() -> complex:
@@ -969,20 +962,13 @@ def _g12() -> list:
         return complex(x1 - 0.219604, x2 - 2.213083)
 
     def zero_sum() -> complex:
-        q = integrate(
-            _scale_fit_diff,
-            QuadratureSpec(lower=ZERO_LOG_SINGULAR, upper=POSITIVE_INFINITY, abs_tol=1e-11),
-        )
-        return complex(q)
+        return complex(integrate(_scale_fit_diff, 0.0, math.inf, 1e-11))
 
     def half_split() -> complex:
         x1, x2 = _fit_intersections()
-        i1 = integrate(_scale_fit_diff,
-                       QuadratureSpec(lower=ZERO_LOG_SINGULAR, upper=x1, abs_tol=1e-12))
-        i2 = integrate(_scale_fit_diff,
-                       QuadratureSpec(lower=x1, upper=x2, abs_tol=1e-12))
-        i3 = integrate(_scale_fit_diff,
-                       QuadratureSpec(lower=x2, upper=POSITIVE_INFINITY, abs_tol=1e-12))
+        i1 = integrate(_scale_fit_diff, 0.0, x1, 1e-12)
+        i2 = integrate(_scale_fit_diff, x1, x2, 1e-12)
+        i3 = integrate(_scale_fit_diff, x2, math.inf, 1e-12)
         return complex(i1 - i3, i1 - 0.5 * abs(i2))
 
     return [

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import POSITIVE_INFINITY, QuadratureSpec, find_root, integrate
+from .analysis import find_root, integrate
 from .gemini import GeminiParams, value
 from .polylog import gamma_fn, li3_real, zeta3, zeta_fn
 
@@ -51,7 +51,7 @@ def geminoid_volume(p: GeminiParams) -> float:
 def geminoid_volume_quad(p: GeminiParams, tol: float = 1e-9) -> float:
     """Shell-method quadrature 2*pi * int x * g(x) dx, the volume oracle."""
     f = lambda x: 2.0 * math.pi * x * value(p, x)
-    return integrate(f, QuadratureSpec(lower=0.0, upper=POSITIVE_INFINITY, abs_tol=tol))
+    return integrate(f, 0.0, math.inf, tol)
 
 
 def volume_ratio(a: float) -> float:
@@ -85,8 +85,7 @@ def _log1mexp(x: float) -> float:
 def raw_moment_quad(s: float, tol: float = 1e-10) -> float:
     """Quadrature oracle for the raw moment."""
     f = lambda x: -(x ** s) * _log1mexp(x)
-    lower = "zero-with-log-singularity" if s < 1.0 else 0.0
-    return integrate(f, QuadratureSpec(lower=lower, upper=POSITIVE_INFINITY, abs_tol=tol))
+    return integrate(f, 0.0, math.inf, tol)
 
 
 def combined_zeta_gamma_residual(s: float, tol: float = 1e-9) -> float:
@@ -99,7 +98,7 @@ def combined_zeta_gamma_residual(s: float, tol: float = 1e-9) -> float:
         e = -math.expm1(-x)  # 1 - e^{-x}, overflow-free for large x
         return c * x ** (s - 1.0) * math.exp(-x) / e + x ** s * _log1mexp(x)
 
-    return integrate(f, QuadratureSpec(lower=0.0, upper=POSITIVE_INFINITY, abs_tol=tol))
+    return integrate(f, 0.0, math.inf, tol)
 
 
 def curvature_profile(x: float) -> GeminoidProfile:
@@ -141,7 +140,7 @@ def _sweep_sq(theta: float) -> float:
 
 def mamikon_area(tol: float = 1e-9) -> float:
     """Tangent-sweep area (1/2) int_0^{pi/2} (arcgd(t)/sin t)^2 dt = pi^2/4."""
-    return 0.5 * integrate(_sweep_sq, QuadratureSpec(lower=0.0, upper=0.5 * math.pi, abs_tol=tol))
+    return 0.5 * integrate(_sweep_sq, 0.0, 0.5 * math.pi, tol)
 
 
 @dataclass(frozen=True)
@@ -153,5 +152,5 @@ class PiHole:
 
 def pi_hole(tol: float = 1e-8) -> PiHole:
     """The pi-hole solid: volume pi^3, cross-section pi^2, throat pi."""
-    sect = integrate(_sweep_sq, QuadratureSpec(lower=-0.5 * math.pi, upper=0.5 * math.pi, abs_tol=tol))
+    sect = integrate(_sweep_sq, -0.5 * math.pi, 0.5 * math.pi, tol)
     return PiHole(volume=math.pi * sect, cross_section=sect, throat=math.pi)

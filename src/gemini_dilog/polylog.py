@@ -277,11 +277,17 @@ def li2_unit_circle(p: int, q: int) -> complex:
 
 
 def gamma_fn(s: float) -> float:
-    """Gamma function for s > 0."""
+    """Gamma function for s > 0.
+
+    Raises ValueError above s ~ 171.6, where the value overflows binary64.
+    """
     _require_finite(s, "s")
     if s <= 0.0:
         raise ValueError("gamma_fn requires s > 0")
-    return math.gamma(s)
+    try:
+        return math.gamma(s)
+    except OverflowError:
+        raise ValueError(f"gamma_fn({s!r}) overflows binary64") from None
 
 
 def zeta_fn(s: float) -> float:

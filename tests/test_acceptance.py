@@ -12,9 +12,6 @@ import pytest
 
 from gemini_dilog import catalog, gemini, geometry
 from gemini_dilog.analysis import (
-    POSITIVE_INFINITY,
-    ZERO_LOG_SINGULAR,
-    QuadratureSpec,
     constants_table,
     integrate,
     solve_constant,
@@ -113,16 +110,11 @@ def test_criterion_6_quadrature_vs_closed_form():
     with Budget(60.0):
         for a in (-0.5, 0.0, 1.0, 4.0):
             p = GeminiParams(a)
-            q = integrate(lambda x: gemini.value(p, x),
-                          QuadratureSpec(lower=ZERO_LOG_SINGULAR,
-                                         upper=POSITIVE_INFINITY,
-                                         abs_tol=1e-10))
+            q = integrate(lambda x: gemini.value(p, x), 0.0, math.inf, 1e-10)
             assert abs(gemini.total_area(p) - q) < 1e-7
             d = gemini.area_decomposition(a)
             x0 = gemini.fixed_point(a)
-            tail = integrate(lambda x: gemini.value(p, x),
-                             QuadratureSpec(lower=x0, upper=POSITIVE_INFINITY,
-                                            abs_tol=1e-10))
+            tail = integrate(lambda x: gemini.value(p, x), x0, math.inf, 1e-10)
             assert abs(d.apex - tail) < 1e-7
             assert abs(d.total - (d.middle_square + 2.0 * d.apex)) < 1e-12
 
@@ -207,12 +199,8 @@ class TestCriterion9Properties:
         for a in (-0.5, 0.0, 1.0, 4.0):
             p = GeminiParams(a)
             x0 = gemini.fixed_point(a)
-            left = integrate(lambda x: gemini.value(p, x) - x0,
-                             QuadratureSpec(lower=ZERO_LOG_SINGULAR, upper=x0,
-                                            abs_tol=1e-10))
-            right = integrate(lambda x: gemini.value(p, x),
-                              QuadratureSpec(lower=x0, upper=POSITIVE_INFINITY,
-                                             abs_tol=1e-10))
+            left = integrate(lambda x: gemini.value(p, x) - x0, 0.0, x0, 1e-10)
+            right = integrate(lambda x: gemini.value(p, x), x0, math.inf, 1e-10)
             assert left == pytest.approx(right, abs=1e-9)
 
     def test_median_rules(self):

@@ -6,12 +6,9 @@ import pytest
 
 from gemini_dilog import analysis, gemini
 from gemini_dilog.analysis import (
-    POSITIVE_INFINITY,
-    ZERO_LOG_SINGULAR,
     AccuracyError,
     BracketError,
     NamedConstant,
-    QuadratureSpec,
     constant_by_id,
     constants_table,
     find_root,
@@ -24,72 +21,56 @@ from gemini_dilog.analysis import (
 
 class TestIntegrate:
     def test_finite_interval(self):
-        got = integrate(math.sin, QuadratureSpec(lower=0.0, upper=math.pi))
+        got = integrate(math.sin, 0.0, math.pi)
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_semi_infinite(self):
-        got = integrate(lambda x: math.exp(-x) * x, QuadratureSpec())
+        got = integrate(lambda x: math.exp(-x) * x)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_log_singularity_at_zero(self):
         # int_0^1 ln(1/x) dx = 1
-        got = integrate(lambda x: -math.log(x),
-                        QuadratureSpec(lower=ZERO_LOG_SINGULAR, upper=1.0))
+        got = integrate(lambda x: -math.log(x), 0.0, 1.0)
         assert got == pytest.approx(1.0, abs=1e-11)
 
     def test_log_singularity_infinite_upper(self):
         # int_0^inf ln(1/(1-e^{-x})) dx = pi^2/6
         f = lambda x: -math.log(-math.expm1(-x))
-        got = integrate(f, QuadratureSpec(lower=ZERO_LOG_SINGULAR,
-                                          upper=POSITIVE_INFINITY))
+        got = integrate(f, 0.0, math.inf)
         assert got == pytest.approx(math.pi ** 2 / 6.0, abs=1e-10)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_depth=3)
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                integrate(math.sin, 0.0, 1.0, tol)
+
+    def test_raises_when_estimate_misses(self):
+        # int_0^1 dx/x diverges; QUADPACK's estimate says so
+        with pytest.raises(AccuracyError) as info:
+            integrate(lambda x: 1.0 / x, 0.0, 1.0)
+        assert info.value.estimate > 1e-10
+
+    def test_raises_when_integrand_fails(self):
+        # ln(x - 1) is undefined on [0, 1): math raises ValueError
+        with pytest.raises(AccuracyError):
+            integrate(lambda x: math.log(x - 1.0), 0.0, 2.0)
 
 
 class TestQuadpackConverges:
-    """Catalog-type integrals meet their tolerance without the fallback."""
+    """Catalog-type integrals meet their tolerance."""
 
-    def test_log_singular_substitution_survives_underflow(self, fallback_calls):
-        # int_0^inf g_1 = pi^2/4; the substituted integrand is sampled where
-        # e^{-t} underflows to 0
+    def test_log_singular_endpoint(self):
+        # int_0^inf g_1 = pi^2/4 with g_1 ~ ln(1/x) at 0, never sampled there
         f = lambda x: gemini.value(gemini.GeminiParams(1.0), x)
-        got = integrate(f, QuadratureSpec(lower=ZERO_LOG_SINGULAR, abs_tol=1e-12))
+        got = integrate(f, 0.0, math.inf, 1e-12)
         assert abs(got - math.pi ** 2 / 4.0) <= 1e-12
-        assert fallback_calls == []
 
     @pytest.mark.parametrize("a", [10.0, 20.0])
-    def test_absolute_stopping_rule(self, fallback_calls, a):
+    def test_absolute_stopping_rule(self, a):
         # the median half-area tail of g11-median-equation, to an absolute 1e-12
         p = gemini.GeminiParams(a)
-        tail = integrate(lambda x: gemini.value(p, x),
-                         QuadratureSpec(lower=gemini.median(a), abs_tol=1e-12))
+        tail = integrate(lambda x: gemini.value(p, x), gemini.median(a), math.inf, 1e-12)
         assert tail == pytest.approx(0.5 * gemini.total_area(p), abs=1e-10)
-        assert fallback_calls == []
-
-
-class TestTanhSinhFallback:
-    # ten Gauss-Kronrod subintervals cannot isolate the kink at x = 1; the
-    # fallback splits [0, 2] there
-    SPEC = QuadratureSpec(lower=0.0, upper=2.0, abs_tol=1e-12, max_depth=10)
-
-    def test_converges(self, fallback_calls):
-        got = integrate(lambda x: math.sqrt(abs(x - 1.0)), self.SPEC)
-        assert len(fallback_calls) == 1
-        assert got == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-    def test_raises_when_its_estimate_misses(self, fallback_calls):
-        # int_0^2 |x-1|^{-1/2} = 4: tanh-sinh on binary64 samples stops near
-        # 1e-8 and says so
-        f = lambda x: abs(x - 1.0) ** -0.5 if x != 1.0 else 0.0
-        with pytest.raises(AccuracyError) as info:
-            integrate(f, self.SPEC)
-        assert len(fallback_calls) == 1
-        assert info.value.estimate > self.SPEC.abs_tol
 
 
 class TestFindRoot:

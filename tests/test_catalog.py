@@ -110,10 +110,6 @@ class TestVerifyEntry:
 
 
 class TestVerifyAll:
-    def test_no_tanh_sinh_fallback(self, fallback_calls):
-        verify_all(seed=42)
-        assert fallback_calls == []
-
     def test_ordered_by_id(self):
         reports = verify_all()
         ids = [r.id for r in reports]
@@ -124,6 +120,14 @@ class TestVerifyAll:
         reports = verify_all(group="G3")
         assert len(reports) == 6
         assert all(r.group == "G3" for r in reports)
+
+    def test_filter_naming_nothing_raises(self):
+        with pytest.raises(ValueError, match="unknown group: G99"):
+            verify_all(group="G99")
+        with pytest.raises(ValueError, match="unknown entry id: nope"):
+            verify_all(entry_id="nope")
+        with pytest.raises(ValueError, match="unknown entry id: g02-five-term in group G1"):
+            verify_all(group="G1", entry_id="g02-five-term")
 
     def test_id_filter(self):
         reports = verify_all(entry_id="g02-five-term")

@@ -85,6 +85,14 @@ def test_cli_is_an_attribute_of_the_package():
     assert (done.returncode, done.stdout, done.stderr) == (0, "gemini_dilog.cli\n", "")
 
 
+def test_import_leaves_mpmath_out():
+    # mpmath is a test oracle only; the package never imports it
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, gemini_dilog; print('mpmath' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 class TestConstants:
     def test_text_table(self, capsys):
         code, out, _ = run_cli(capsys, "constants")
@@ -142,6 +150,13 @@ class TestVerify:
             run_cli(capsys, "verify", "--group", "G99")
         assert exc.value.code == 2
 
+    def test_unknown_id_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--id", "nope")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "gemini-dilog: error: unknown entry id: nope"
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("GEMINI_DILOG_SEED", "7")
         _, out_env, _ = run_cli(capsys, "verify", "--id", "g02-five-term",
@@ -191,6 +206,13 @@ class TestGeometryCommands:
     def test_moment(self, capsys):
         _, out, _ = run_cli(capsys, "moment", "1")
         assert float(out) == pytest.approx(1.2020569031595943, abs=1e-13)
+
+    def test_moment_overflow_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "moment", "700")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "gemini-dilog: error: gamma_fn(701.0) overflows binary64"
 
     def test_invalid_shape_factor(self, capsys):
         with pytest.raises(SystemExit) as exc:

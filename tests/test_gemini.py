@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from gemini_dilog import gemini
-from gemini_dilog.analysis import (
-    POSITIVE_INFINITY,
-    ZERO_LOG_SINGULAR,
-    QuadratureSpec,
-    integrate,
-)
+from gemini_dilog.analysis import integrate
 from gemini_dilog.gemini import GeminiParams
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -84,9 +79,7 @@ class TestAntiderivative:
     def test_total_area_against_quadrature(self):
         for a in (-0.5, 0.0, 1.0, 5.0):
             p = GeminiParams(a)
-            q = integrate(lambda x: gemini.value(p, x),
-                          QuadratureSpec(lower=ZERO_LOG_SINGULAR,
-                                         upper=POSITIVE_INFINITY, abs_tol=1e-10))
+            q = integrate(lambda x: gemini.value(p, x), 0.0, math.inf, 1e-10)
             assert gemini.total_area(p) == pytest.approx(q, abs=1e-9)
 
     def test_degenerate_edge(self):
@@ -133,12 +126,8 @@ class TestAreaDecomposition:
         for a in (-0.5, 0.0, 1.0, 4.0):
             p = GeminiParams(a)
             x0 = gemini.fixed_point(a)
-            left = integrate(lambda x: gemini.value(p, x) - x0,
-                             QuadratureSpec(lower=ZERO_LOG_SINGULAR, upper=x0,
-                                            abs_tol=1e-10))
-            right = integrate(lambda x: gemini.value(p, x),
-                              QuadratureSpec(lower=x0, upper=POSITIVE_INFINITY,
-                                             abs_tol=1e-10))
+            left = integrate(lambda x: gemini.value(p, x) - x0, 0.0, x0, 1e-10)
+            right = integrate(lambda x: gemini.value(p, x), x0, math.inf, 1e-10)
             assert left == pytest.approx(right, abs=1e-9)
             assert gemini.area_decomposition(a).apex == pytest.approx(
                 right, abs=1e-9)

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from gemini_dilog import geometry
-from gemini_dilog.analysis import constant_by_id, solve_constant
+from gemini_dilog.analysis import AccuracyError, constant_by_id, solve_constant
 from gemini_dilog.gemini import GeminiParams
 from gemini_dilog.polylog import zeta3
 
@@ -65,14 +65,19 @@ class TestMoments:
             geometry.raw_moment_quad(s), abs=1e-8)
 
     @pytest.mark.parametrize("s", [0.25 * i for i in range(33)])
-    def test_quadrature_matches_mpmath(self, fallback_calls, s):
+    def test_quadrature_matches_mpmath(self, s):
         with mpmath.workdps(30):
             ref = float(mpmath.gamma(s + 1) * mpmath.zeta(s + 2))
         # 1e-11 absolute while the moment is below 100 (s < 4.9); beyond that
         # QUADPACK's roundoff floor, 50 eps int|f|, needs a relative 1e-13
         tol = max(1e-11, 1e-13 * ref)
         assert abs(geometry.raw_moment_quad(s, tol=tol) - ref) <= tol
-        assert fallback_calls == []
+
+    def test_quadrature_below_roundoff_floor_raises(self):
+        # 1e-11 is below QUADPACK's floor 50 eps int|f| ~ 4.5e-10 at s = 8
+        with pytest.raises(AccuracyError) as info:
+            geometry.raw_moment_quad(8.0, tol=1e-11)
+        assert info.value.estimate > 1e-11
 
     def test_zeroth_moment_is_area(self):
         assert geometry.raw_moment(0.0) == pytest.approx(PI ** 2 / 6.0,
@@ -82,11 +87,23 @@ class TestMoments:
         for s in (1.5, 2.0, 3.0):
             assert abs(geometry.combined_zeta_gamma_residual(s)) < 1e-8
 
+    def test_combined_integral_below_roundoff_floor_raises(self):
+        # the exact value is 0, but binary64 rounding of the integrand leaves
+        # QUADPACK's estimate far above 1e-12 at s = 8
+        with pytest.raises(AccuracyError):
+            geometry.combined_zeta_gamma_residual(8.0, tol=1e-12)
+
     def test_domains(self):
         with pytest.raises(ValueError):
             geometry.raw_moment(-0.5)
         with pytest.raises(ValueError):
             geometry.combined_zeta_gamma_residual(1.0)
+
+    def test_overflow_is_a_domain_error(self):
+        # Gamma(s+1) overflows binary64 beyond s ~ 170.6
+        assert math.isfinite(geometry.raw_moment(170.0))
+        with pytest.raises(ValueError, match="overflows binary64"):
+            geometry.raw_moment(700.0)
 
 
 class TestCurvature:
