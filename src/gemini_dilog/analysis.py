@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-from scipy import integrate as _sci_integrate
-from scipy import optimize as _sci_optimize
-
-from .polylog import PI2_6, chi2, li2_real
+from . import quadpack
+from .polylog import PI2_6, chi2, li2_re
 
 __all__ = [
     "AccuracyError",
@@ -28,7 +25,8 @@ __all__ = [
 
 
 class AccuracyError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance."""
+    """Quadrature or a root solve failed to reach the requested tolerance;
+    ``estimate`` is the error bound it did reach."""
 
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
@@ -45,21 +43,30 @@ def integrate(
     """Integral of ``f`` over [lo, hi] (``hi`` may be ``math.inf``) to absolute error ``tol``.
 
     One QUADPACK call (adaptive Gauss-Kronrod with epsilon-algorithm
-    extrapolation) run to the pure absolute tolerance, with no relative
+    extrapolation; ``quadpack.qagse`` on a finite interval, ``qagie`` on
+    [lo, inf)) run to the pure absolute tolerance, with no relative
     stopping rule.  QUADPACK never samples an endpoint, so an integrable
     singularity there, such as ln x at 0, needs no special treatment.
-    Raises ``ValueError`` for ``tol <= 0`` and ``AccuracyError`` (carrying
-    QUADPACK's error estimate) when that estimate exceeds ``tol`` or when
-    ``f`` raises ``ArithmeticError`` or ``ValueError``.
+    Raises ``ValueError`` for ``tol <= 0`` (or so small that ``tol/4``
+    underflows), a non-finite ``lo`` and ``hi`` = -inf or nan, and
+    ``AccuracyError`` (carrying QUADPACK's error estimate) when that
+    estimate exceeds ``tol`` or when ``f`` raises ``ArithmeticError`` or
+    ``ValueError``.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    epsabs = tol / 4.0
+    if epsabs == 0.0:
+        raise ValueError(f"tol {tol!r} underflows binary64")
+    if not math.isfinite(lo) or math.isnan(hi) or hi == -math.inf:
+        raise ValueError(f"integrate needs finite lo and hi or hi = inf, got [{lo}, {hi}]")
     try:
-        with warnings.catch_warnings():
-            # roundoff warnings are expected near the tolerance floor; the
-            # error estimate is checked below
-            warnings.simplefilter("ignore", _sci_integrate.IntegrationWarning)
-            value, err = _sci_integrate.quad(f, lo, hi, epsabs=tol / 4.0, epsrel=0.0, limit=200)
+        # roundoff flags (ier > 0) need no separate handling: the error
+        # estimate is checked below
+        if hi == math.inf:
+            value, err, _, _ = quadpack.qagie(f, lo, epsabs)
+        else:
+            value, err, _, _ = quadpack.qagse(f, lo, hi, epsabs)
     except (ArithmeticError, ValueError) as exc:
         raise AccuracyError(f"integrand failed: {exc}", math.inf) from exc
     if not (err <= tol and math.isfinite(value)):
@@ -68,16 +75,82 @@ def integrate(
     return value
 
 
+# brentq's smallest relative tolerance, as scipy.optimize enforces it
+_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Bracketed root solve (Brent); deterministic for fixed inputs."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
+    """Bracketed root solve (Brent); deterministic for fixed inputs.
+
+    A line-for-line port of scipy's ``brentq.c`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4) with ``xtol = tol`` and
+    ``rtol = 4*eps``, so it returns the same iterate bit for bit.  Raises
+    ``BracketError`` when f(lo) and f(hi) have the same sign, ``ValueError``
+    when f returns nan and ``AccuracyError`` after 100 iterations.
+    """
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    fpre, fcur = f(lo), f(hi)
+    if fpre == 0.0:
         return lo
-    if fhi == 0.0:
+    if fcur == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError(f"root function is nan at an end of [{lo}, {hi}]")
+    if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]")
-    return float(_sci_optimize.brentq(f, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps))
+    xpre, xcur = float(lo), float(hi)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (tol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = sbis
+                scur = sbis
+        else:
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"root function is nan at {xcur!r}")
+    raise AccuracyError(f"root solve did not converge in {_BRENT_MAXITER} iterations",
+                        abs(xblk - xcur))
 
 
 def solve_trinomial(n: float, m: float) -> float:
@@ -119,10 +192,6 @@ class NamedConstant:
     provenance: str  # "PAPER" | "DERIVED"
 
 
-def _li2r(x: float) -> float:
-    return li2_real(x).real
-
-
 def _fixed_pt_ln(a: float) -> float:
     return math.log(1.0 + math.sqrt(1.0 + a))
 
@@ -131,17 +200,17 @@ def _median_residual_pow(m: float, n: int) -> float:
     # median of gemini_{m^n} at ln(m):
     # Li2(1/m) - Li2(-m^{n-1}) - pi^2/12 + Li2(-m^n)/2 = 0
     return (
-        _li2r(1.0 / m)
-        - _li2r(-(m ** (n - 1)))
+        li2_re(1.0 / m)
+        - li2_re(-(m ** (n - 1)))
         - PI2_6 / 2.0
-        + 0.5 * _li2r(-(m ** n))
+        + 0.5 * li2_re(-(m ** n))
     )
 
 
 def _inverse_pair_residual(a: float, n: float) -> float:
     # Li2(-a) = -((2n-1)/(n+1)) pi^2/6 - (n/(n+1)) ln^2(a)/2
     return (
-        _li2r(-a)
+        li2_re(-a)
         + (2.0 * n - 1.0) / (n + 1.0) * PI2_6
         + 0.5 * n / (n + 1.0) * math.log(a) ** 2
     )
@@ -185,7 +254,7 @@ def _build_table() -> Sequence[NamedConstant]:
                       (2.0, 3.0), 2.205569, "DERIVED"),
         NamedConstant("infinacci", "x - 2 = 0", lambda x: x - 2.0, (1.5, 2.5), 2.0, "PAPER"),
         NamedConstant("a_c", "Li2(-a) = pi^2/6 - 3 ln^2(1+sqrt(1+a))",
-                      lambda a: _li2r(-a) - PI2_6 + 3.0 * _fixed_pt_ln(a) ** 2,
+                      lambda a: li2_re(-a) - PI2_6 + 3.0 * _fixed_pt_ln(a) ** 2,
                       (2.082815, 3.082815), 2.582815, "PAPER"),
         NamedConstant("laplace_limit", "ln((1+sqrt(1+x^2))/x) = sqrt(1+x^2)",
                       _laplace_limit_residual,
@@ -200,7 +269,7 @@ def _build_table() -> Sequence[NamedConstant]:
                       lambda x: math.exp(x) - 1.0 - _SQRT2,
                       (0.4, 1.4), math.log(1.0 + _SQRT2), "PAPER"),
         NamedConstant("median_n1", "Li2(1/a) + Li2(-a)/2 = 0",
-                      lambda a: _li2r(1.0 / a) + 0.5 * _li2r(-a),
+                      lambda a: li2_re(1.0 / a) + 0.5 * li2_re(-a),
                       (1.298533, 2.298533), 1.798533, "PAPER"),
         NamedConstant("median_n2", "chi2(1/m^2) = ln^2(m)/2",
                       lambda m: chi2(1.0 / (m * m)) - 0.5 * math.log(m) ** 2,
@@ -209,17 +278,17 @@ def _build_table() -> Sequence[NamedConstant]:
                       lambda m: _median_residual_pow(m, 3),
                       (2.405862, 3.405862), 2.905862, "PAPER"),
         NamedConstant("a_no_pi2", "Li2(-a) = -pi^2/6",
-                      lambda a: _li2r(-a) + PI2_6,
+                      lambda a: li2_re(-a) + PI2_6,
                       (1.893308, 2.893308), 2.393308, "PAPER"),
         NamedConstant("p_median_zero",
                       "Li2(1/p) = pi^2/4 - ln^2(sqrt(p-1)) - ln(p) ln(sqrt(p)/(p-1))",
-                      lambda p: _li2r(1.0 / p) - math.pi ** 2 / 4.0
+                      lambda p: li2_re(1.0 / p) - math.pi ** 2 / 4.0
                       + math.log(math.sqrt(p - 1.0)) ** 2
                       + math.log(p) * math.log(math.sqrt(p) / (p - 1.0)),
                       (1.01, 1.641080), 1.141080, "PAPER"),
         NamedConstant("a_crit_p2",
                       "Li2(-a) = pi^2/6 - ((a+2)/(2a)) ln(a+1)",
-                      lambda a: _li2r(-a) - PI2_6
+                      lambda a: li2_re(-a) - PI2_6
                       + (a + 2.0) / (2.0 * a) * math.log(a + 1.0),
                       (-0.9, -0.1), -0.514091, "PAPER"),
     ]

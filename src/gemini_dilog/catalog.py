@@ -19,8 +19,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 from zlib import crc32
 
-import numpy as np
-
 from .analysis import (
     constant_by_id,
     find_root,
@@ -154,6 +152,8 @@ class VerificationReport:
 
 
 def _axis_values(ps: ParamSpec) -> list:
+    import numpy as np  # only sampling needs numpy; importing the package does not
+
     if ps.sampling == "integer":
         return [float(v) for v in range(int(ps.lower), int(ps.upper) + 1)]
     n = max(2, ps.count - len(ps.edges))
@@ -168,13 +168,16 @@ def _axis_values(ps: ParamSpec) -> list:
     return list(dict.fromkeys(vals))
 
 
-def _random_point(ps: ParamSpec, rng: np.random.Generator) -> float:
+def _random_point(ps: ParamSpec, rng) -> float:
+    """One uniform draw on the axis from ``rng``, a numpy ``Generator``."""
     if ps.sampling == "integer":
         return float(rng.integers(int(ps.lower), int(ps.upper) + 1))
     return ps.lower + (ps.upper - ps.lower) * float(rng.random())
 
 
 def _sample_points(entry: IdentityEntry, seed: int) -> list:
+    import numpy as np
+
     if not entry.params:
         return [()]
     axes = [_axis_values(ps) for ps in entry.params]
@@ -326,9 +329,12 @@ def _ex8_pair(which: int, m: float) -> complex:
     return 0.5 * L(-(m ** SQ2)) - L(-m) - PI2_12
 
 
+_FIT_DEGENERATE = GeminiParams(0.0, math.sqrt(1.5))
+_FIT_FUNDAMENTAL = GeminiParams(1.0)
+
+
 def _scale_fit_diff(x: float) -> float:
-    b = math.sqrt(1.5)
-    return value(GeminiParams(0.0, b), x) - value(GeminiParams(1.0), x)
+    return value(_FIT_DEGENERATE, x) - value(_FIT_FUNDAMENTAL, x)
 
 
 @lru_cache(maxsize=None)

@@ -16,12 +16,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, catalog, gemini, geometry, polylog
 
 _EVAL_FNS = ("li2", "li2c", "li3", "chi2", "cl2", "trigamma", "unit-circle")
 _PLOT_SERIES = ("r-of-a", "atot-p", "geminoid-profile")
+_MAX_POINTS = 10 ** 7  # plot-data builds its grid in memory: 80 MB at this bound
 
 
 def _fmt(x: float) -> str:
@@ -239,6 +238,10 @@ def _plot_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     n = ns.points
     if n < 2:
         parser.error("--points must be at least 2")
+    if n > _MAX_POINTS:
+        parser.error(f"--points must be at most {_MAX_POINTS}, got {n}")
+    import numpy as np  # the grids; no other subcommand needs numpy
+
     w = csv.writer(sys.stdout, lineterminator="\n")
     if ns.series == "r-of-a":
         w.writerow(["a", "r"])

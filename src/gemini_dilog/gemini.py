@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import BracketError, find_root
-from .polylog import PI2_6, li2_real
+from .polylog import PI2_6, _require_finite, li2_re
 
 __all__ = [
     "GeminiParams",
@@ -49,6 +49,8 @@ class GeminiParams:
     b: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"gemini parameters must be finite, got a={self.a!r}, b={self.b!r}")
         if not (self.a >= -1.0):
             raise ValueError("shape factor must satisfy a >= -1")
         if not (self.b > 0.0):
@@ -66,10 +68,6 @@ class AreaDecomposition:
     between_limits: float
 
 
-def _li2r(x: float) -> float:
-    return li2_real(x).real
-
-
 def value(p: GeminiParams, x: float) -> float:
     """g_a^b(x) for x > 0."""
     if not (x > 0.0):
@@ -85,7 +83,7 @@ def antiderivative(p: GeminiParams, x: float) -> float:
     if x < 0.0:
         raise ValueError("antiderivative is used on x >= 0")
     e = math.exp(-x / p.b)
-    return p.b * p.b * (_li2r(-p.a * e) - _li2r(e))
+    return p.b * p.b * (li2_re(-p.a * e) - li2_re(e))
 
 
 def area_between(p: GeminiParams, x1: float, x2: float) -> float:
@@ -95,11 +93,12 @@ def area_between(p: GeminiParams, x1: float, x2: float) -> float:
 
 def total_area(p: GeminiParams) -> float:
     """b^2 (pi^2/6 - Li2(-a)); zero in the completely degenerate case a = -1."""
-    return p.b * p.b * (PI2_6 - _li2r(-p.a))
+    return p.b * p.b * (PI2_6 - li2_re(-p.a))
 
 
 def fixed_point(a: float) -> float:
-    """x0 = ln(1 + sqrt(1+a))."""
+    """x0 = ln(1 + sqrt(1+a)) for finite a >= -1."""
+    _require_finite(a, "a")
     if a < -1.0:
         raise ValueError("shape factor must satisfy a >= -1")
     return math.log(1.0 + math.sqrt(1.0 + a))
@@ -117,7 +116,7 @@ def area_decomposition(a: float) -> AreaDecomposition:
     """Decompose the total area at the fixed point: A_tot = A0 + 2 A_a."""
     if a < -1.0:
         raise ValueError("shape factor must satisfy a >= -1")
-    total = PI2_6 - _li2r(-a)
+    total = PI2_6 - li2_re(-a)
     x0 = fixed_point(a)
     middle = x0 * x0
     apex = 0.5 * (total - middle)
@@ -131,7 +130,7 @@ def area_ratio_r(a: float) -> float:
     """r(a) = A_tot/A0 = (pi^2/6 - Li2(-a)) / ln^2(1+sqrt(1+a)), a > -1."""
     if not (a > -1.0):
         raise ValueError("area ratio requires a > -1")
-    return (PI2_6 - _li2r(-a)) / fixed_point(a) ** 2
+    return (PI2_6 - li2_re(-a)) / fixed_point(a) ** 2
 
 
 def area_ratio_rxa(x: float, a: float) -> float:
@@ -140,20 +139,20 @@ def area_ratio_rxa(x: float, a: float) -> float:
         raise ValueError("shape factor must satisfy a >= -1")
     if not (1.0 < x < 1.0 + math.sqrt(1.0 + a)):
         raise ValueError("x must lie in (1, 1+sqrt(1+a))")
-    num = _li2r(-a) - PI2_6
+    num = li2_re(-a) - PI2_6
     den = (
         PI2_6
         - math.log(x) * math.log((x + a) / (x - 1.0))
-        - _li2r(-a)
-        - 2.0 * _li2r(1.0 / x)
-        + 2.0 * _li2r(-a / x)
+        - li2_re(-a)
+        - 2.0 * li2_re(1.0 / x)
+        + 2.0 * li2_re(-a / x)
     )
     return num / den
 
 
 def _median_halfarea_residual(m: float, a: float) -> float:
     # tail area from ln(m): Li2(1/m) - Li2(-a/m), half total: pi^2/12 - Li2(-a)/2
-    return _li2r(1.0 / m) - _li2r(-a / m) - (PI2_6 / 2.0 - 0.5 * _li2r(-a))
+    return li2_re(1.0 / m) - li2_re(-a / m) - (PI2_6 / 2.0 - 0.5 * li2_re(-a))
 
 
 def median(a: float) -> float:
@@ -193,7 +192,7 @@ def rotated_degenerate(x: float) -> float:
 
 def rotated_antiderivative(x: float) -> float:
     """Antiderivative Li2(-e^{-x sqrt2}) + x^2/2 of the rotated degenerate form."""
-    return _li2r(-math.exp(-_SQRT2 * x)) + 0.5 * x * x
+    return li2_re(-math.exp(-_SQRT2 * x)) + 0.5 * x * x
 
 
 def inverse_pair_prediction(n: float) -> tuple:
@@ -214,7 +213,7 @@ def inverse_pair_prediction(n: float) -> tuple:
 def inverse_pair_solve_a(n: float) -> float:
     """Solve the inverse-pair prediction for the shape factor a."""
     (A, B), _ = inverse_pair_prediction(n)
-    f = lambda a: _li2r(-a) - A * PI2_6 - B * math.log(a) ** 2
+    f = lambda a: li2_re(-a) - A * PI2_6 - B * math.log(a) ** 2
     if abs(f(1.0)) < 1e-13:
         return 1.0
     hi = 2.0
@@ -236,7 +235,7 @@ def atot_of_a_p(a: float, p: float) -> float:
     """Unit-height normalized total area A_tot(a, p) = (pi^2/6 - Li2(-a))/(a+p)^2."""
     if not (a > -1.0):
         raise ValueError("requires a > -1")
-    return (PI2_6 - _li2r(-a)) / (a + p) ** 2
+    return (PI2_6 - li2_re(-a)) / (a + p) ** 2
 
 
 def critical_a(p: float) -> float:
@@ -244,7 +243,7 @@ def critical_a(p: float) -> float:
     def f(a: float) -> float:
         if a == 0.0:
             return 0.5 * p - PI2_6
-        return _li2r(-a) - PI2_6 + (a + p) / (2.0 * a) * math.log(1.0 + a)
+        return li2_re(-a) - PI2_6 + (a + p) / (2.0 * a) * math.log(1.0 + a)
 
     if abs(f(0.0)) < 1e-13:
         return 0.0
@@ -255,7 +254,8 @@ def critical_a(p: float) -> float:
 
 
 def A_of_p(p: float) -> float:
-    """A(p) = pi^2/(2p) + ln^2(p-1)/(2p) for p > 1."""
+    """A(p) = pi^2/(2p) + ln^2(p-1)/(2p) for finite p > 1."""
+    _require_finite(p, "p")
     if not (p > 1.0):
         raise ValueError("A_of_p requires p > 1")
     return math.pi ** 2 / (2.0 * p) + math.log(p - 1.0) ** 2 / (2.0 * p)

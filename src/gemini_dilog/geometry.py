@@ -105,15 +105,24 @@ def curvature_profile(x: float) -> GeminoidProfile:
     """kappa1, arc length, tangential angle, principal radii and K_g of geminoid_1."""
     if not (x > 0.0):
         raise ValueError("curvature profile requires x > 0")
+    t = math.tanh(0.5 * x)
+    # t rounds to 0 below x ~ 1e-323 and to 1 above x ~ 38.2, where ln coth(x/2)
+    # would be infinite or 0; the bound also keeps cosh(x)^3 (inf beyond
+    # x ~ 237) finite
+    if not (0.0 < t < 1.0):
+        raise ValueError(f"curvature_profile({x!r}) is outside the range of binary64")
     sh, ch = math.sinh(x), math.cosh(x)
     kappa1 = sh / (ch * ch)
     arc = math.log(sh)
-    theta = 2.0 * math.atan(math.tanh(0.5 * x))  # gd(x)
-    lncoth = math.log(1.0 / math.tanh(0.5 * x))
+    theta = 2.0 * math.atan(t)  # gd(x)
+    lncoth = math.log(1.0 / t)
     r2 = lncoth / math.tanh(x)
     kg = -sh * sh / (ch ** 3 * lncoth)
+    r1 = 1.0 / kappa1
+    if not (math.isfinite(r1) and math.isfinite(r2)):  # below x ~ 1e-308
+        raise ValueError(f"curvature_profile({x!r}) is outside the range of binary64")
     return GeminoidProfile(x=x, kappa1=kappa1, arc_length=arc, theta=theta,
-                           R1=1.0 / kappa1, R2=r2, gauss_curvature=kg)
+                           R1=r1, R2=r2, gauss_curvature=kg)
 
 
 def equal_radii_point() -> float:

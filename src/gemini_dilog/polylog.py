@@ -1,4 +1,4 @@
-"""Dilogarithm, trilogarithm, Legendre chi, Clausen and trigamma evaluation.
+"""Dilogarithm, trilogarithm, Legendre chi, Clausen, trigamma and zeta evaluation.
 
 All evaluators work in binary64 arithmetic.  Complex results are returned as
 Python ``complex`` values; purely real quantities as ``float``.  Real
@@ -21,9 +21,8 @@ import cmath
 import math
 import sys
 
-from scipy.special import zeta as _scipy_zeta
-
 __all__ = [
+    "li2_re",
     "li2_real",
     "li2_complex",
     "li3_real",
@@ -92,7 +91,6 @@ _LI3_COEFFS = (
     -2.369824177308745e-13, 3.104357887965462e-14, 5.261758629912506e-15,
     -7.538479549949265e-16, -1.1862322577752286e-16,
 )
-_LI2_HORNER = _LI2_COEFFS[::-1]
 _LI3_HORNER = _LI3_COEFFS[:0:-1]  # c_20 .. c_2; c_1 = 1 is applied last
 
 # trigamma(x) ~ 1/x^2 overflows binary64 below this argument
@@ -107,9 +105,13 @@ def _require_finite(x: float, name: str = "x") -> None:
 def _li2_series(w):
     """Li2(1 - e^-w) for |w| <= pi/3; w may be float or complex."""
     t = w * w
-    p = 0.0
-    for a in _LI2_HORNER:
-        p = p * t + a
+    # Horner's rule on the 12 coefficients of _LI2_COEFFS, unrolled
+    p = ((((((((((-5.581785874325009e-21 * t + 2.395218621026187e-19) * t
+                 - 1.0356517612181247e-17) * t + 4.518980029619918e-16) * t
+               - 1.9939295860721074e-14) * t + 8.921691020456452e-13) * t
+             - 4.0647616451442256e-11) * t + 1.8978869988971e-09) * t
+           - 9.185773074661964e-08) * t + 4.72411186696901e-06) * t
+         - 0.0002777777777777778) * t + 0.027777777777777776
     # the leading w is added last: one rounding on the dominant term
     return w + t * (w * p - 0.25)
 
@@ -122,8 +124,12 @@ def _li3_series(u: float) -> float:
     return u + u * (u * p)
 
 
-def _li2_real_part(x: float) -> float:
-    """Re Li2(x) for finite real x."""
+def li2_re(x: float) -> float:
+    """Re Li2(x) for real x: the dilogarithm itself for x <= 1, the real part
+    of either lip of the cut for x > 1."""
+    # _require_finite inlined: this check runs in every gemini integrand
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     if x < -1.0:
         # inversion: Li2(x) = -Li2(1/x) - pi^2/6 - ln^2(-x)/2
         ln = math.log(-x)
@@ -147,11 +153,10 @@ def li2_real(x: float) -> complex:
     Returns a complex number; for x <= 1 it is purely real.  For x > 1 the
     value is taken on the lower lip of the cut: Re{Li2(x)} - i*pi*ln(x).
     """
-    _require_finite(x)
-    x = float(x)
+    re = li2_re(x)
     if x > 1.0:
-        return complex(_li2_real_part(x), -math.pi * math.log(x))
-    return complex(_li2_real_part(x), 0.0)
+        return complex(re, -math.pi * math.log(x))
+    return complex(re, 0.0)
 
 
 def li2_complex(z: complex) -> complex:
@@ -216,7 +221,7 @@ def chi2(x: float) -> float:
     _require_finite(x)
     if abs(x) > 1.0:
         raise ValueError("chi2 requires |x| <= 1")
-    return 0.5 * (_li2_real_part(x) - _li2_real_part(-x))
+    return 0.5 * (li2_re(x) - li2_re(-x))
 
 
 def clausen_cl2(theta: float) -> float:
@@ -290,12 +295,36 @@ def gamma_fn(s: float) -> float:
         raise ValueError(f"gamma_fn({s!r}) overflows binary64") from None
 
 
+# zeta_fn's Euler-Maclaurin factors B_2j/(2j)!, j = 1..10: with N = 10 direct
+# terms the first omitted correction is below 1e-18 relative for every s > 1
+_ZETA_N = 10
+_ZETA_EM = tuple(_BERNOULLI[2 * j] / math.factorial(2 * j) for j in range(1, 11))
+
+
 def zeta_fn(s: float) -> float:
-    """Riemann zeta for s > 1."""
+    """Riemann zeta for real s > 1, by Euler-Maclaurin summation.
+
+    zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2 + sum_j B_2j/(2j)!
+    * s(s+1)...(s+2j-2) N^(1-s-2j) with N = 10; the terms are added by
+    ``math.fsum``, so the result carries only the rounding of the terms.
+    """
     _require_finite(s, "s")
     if s <= 1.0:
         raise ValueError("zeta_fn requires s > 1")
-    return float(_scipy_zeta(s))
+    n = float(_ZETA_N)
+    nms = n ** -s
+    terms = [k ** -s for k in range(1, _ZETA_N)]
+    terms.append(n ** (1.0 - s) / (s - 1.0))
+    terms.append(0.5 * nms)
+    # t_j = s(s+1)...(s+2j-2) N^(1-s-2j), built up by two factors a step
+    t = s * nms / n
+    inv_n2 = 1.0 / (n * n)
+    for j, c in enumerate(_ZETA_EM):
+        if t == 0.0:  # underflowed for large s; the next factor could be inf
+            break
+        terms.append(c * t)
+        t *= (s + 2 * j + 1) * (s + 2 * j + 2) * inv_n2
+    return math.fsum(terms)
 
 
 def catalan() -> float:

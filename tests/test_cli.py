@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,48 @@ def test_import_leaves_mpmath_out():
                            "import sys, gemini_dilog; print('mpmath' in sys.modules)"],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_import_and_eval_leave_numpy_and_scipy_out():
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, gemini_dilog\n"
+                           "gemini_dilog.cli.run(['eval', 'li2', '0.5'])\n"
+                           "print([m for m in ('numpy', 'scipy') if m in sys.modules])"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.582240526465012\n[]\n", "")
+
+
+_EVERY_SUBCOMMAND = [
+    ["eval", "li2", "0.5"], ["eval", "li2c", "0.3", "0.4"], ["area", "0.5"],
+    ["median", "1"], ["volume", "2"], ["moment", "1.5"], ["constants"],
+    ["plot-data", "geminoid-profile", "--points", "5"], ["verify", "--format", "json"],
+]
+
+# runs every argv in-process; prints [exit code, stdout] per argv as JSON
+_RUN_ALL = """
+import contextlib, io, json, sys
+from gemini_dilog import cli
+rows = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    rows.append([code, out.getvalue()])
+print(json.dumps(rows))
+"""
+
+
+def test_every_subcommand_runs_without_scipy():
+    # scipy is a test oracle only: blocking its import changes no output
+    argvs = json.dumps(_EVERY_SUBCOMMAND)
+    outputs = []
+    for prelude in ("", "import sys; sys.modules['scipy'] = None\n"):
+        done = subprocess.run([sys.executable, "-c", prelude + _RUN_ALL, argvs],
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
+    assert all(code == 0 and out for code, out in outputs[0])
 
 
 class TestConstants:
@@ -214,6 +257,13 @@ class TestGeometryCommands:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "gemini-dilog: error: gamma_fn(701.0) overflows binary64"
 
+    def test_volume_nan_names_the_value(self, capsys):
+        # nan fails no range test; the finiteness check names it
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "volume", "nan")
+        assert exc.value.code == 2
+        assert "a=nan" in capsys.readouterr().err
+
     def test_invalid_shape_factor(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "area", "-2")
@@ -239,6 +289,18 @@ class TestPlotData:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "plot-data", "r-of-a", "--points", "1")
         assert exc.value.code == 2
+
+    def test_too_many_points_allocates_nothing(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(capsys, "plot-data", "r-of-a", "--points", "100000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert "--points must be at most 10000000" in capsys.readouterr().err
+        assert peak < 1_000_000
 
     def test_unknown_series(self, capsys):
         with pytest.raises(SystemExit) as exc:

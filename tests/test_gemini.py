@@ -52,6 +52,12 @@ class TestValue:
         with pytest.raises(ValueError):
             GeminiParams(1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                      (1.0, math.inf)])
+    def test_non_finite_parameters_named(self, a, b):
+        with pytest.raises(ValueError, match=f"a={a!r}, b={b!r}"):
+            GeminiParams(a, b)
+
 
 class TestAntiderivative:
     def test_derivative_consistency(self):
@@ -94,6 +100,11 @@ class TestFixedPoint:
             x0 = gemini.fixed_point(a)
             assert gemini.value(GeminiParams(a), x0) == pytest.approx(x0,
                                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_shape_factor(self, a):
+        with pytest.raises(ValueError, match=f"got {a!r}"):
+            gemini.fixed_point(a)
 
     def test_fundamental_value(self):
         assert gemini.fixed_point(1.0) == pytest.approx(
@@ -225,3 +236,8 @@ class TestScaleAndCritical:
                                                    abs=1e-15)
         with pytest.raises(ValueError):
             gemini.A_of_p(1.0)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_A_of_p_non_finite(self, p):
+        with pytest.raises(ValueError, match=f"got {p!r}"):
+            gemini.A_of_p(p)

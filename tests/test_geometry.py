@@ -139,6 +139,19 @@ class TestCurvature:
         with pytest.raises(ValueError):
             geometry.curvature_profile(0.0)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 38.5, 700.0, math.inf, math.nan])
+    def test_outside_binary64_range_is_a_value_error(self, x):
+        # ln coth(x/2) is infinite at the smallest subnormals and rounds to 0
+        # above x ~ 38.2; cosh(x)^3 overflows at 700
+        with pytest.raises(ValueError):
+            geometry.curvature_profile(x)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-8, 0.05, 5.0, 38.0])
+    def test_finite_where_defined(self, x):
+        pr = geometry.curvature_profile(x)
+        assert all(math.isfinite(v) for v in (pr.kappa1, pr.arc_length, pr.theta,
+                                              pr.R1, pr.R2, pr.gauss_curvature))
+
 
 class TestMamikon:
     def test_arcgd_inverts_gd(self):

@@ -1,0 +1,211 @@
+"""scipy and mpmath as oracles for the pure-Python numerics.
+
+``quadpack`` and ``find_root`` port QUADPACK and scipy's ``brentq.c`` line
+for line, so they must reproduce scipy bit for bit; ``zeta_fn`` must be at
+least as accurate as ``scipy.special.zeta`` against mpmath.
+"""
+
+import math
+import random
+import sys
+import warnings
+
+import mpmath
+import pytest
+from scipy import integrate as sci_integrate
+from scipy import optimize as sci_optimize
+from scipy import special as sci_special
+from scipy.integrate import _quad_vec
+
+from gemini_dilog import analysis, catalog, gemini, geometry, polylog, quadpack
+from gemini_dilog.analysis import AccuracyError, integrate
+
+
+def _scipy_quad(f, a, b, epsabs):
+    """(value, abserr, last) of scipy's QUADPACK with epsrel = 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sci_integrate.IntegrationWarning)
+        out = sci_integrate.quad(f, a, b, epsabs=epsabs, epsrel=0.0,
+                                 limit=quadpack.LIMIT, full_output=1)
+    return out[0], out[1], out[2]["last"]
+
+
+def _port(f, a, b, epsabs):
+    if b == math.inf:
+        return quadpack.qagie(f, a, epsabs)
+    return quadpack.qagse(f, a, b, epsabs)
+
+
+def _cold_verify_all(seed):
+    """verify_all with every cache the catalog keeps emptied first."""
+    catalog._const.cache_clear()
+    catalog._fit_intersections.cache_clear()
+    return catalog.verify_all(seed=seed)
+
+
+@pytest.fixture(scope="module")
+def verify_calls():
+    """Every quadrature and root solve of a cold verify_all(seed=42)."""
+    quads, roots = [], []
+    qagse, qagie, find_root = quadpack.qagse, quadpack.qagie, analysis.find_root
+
+    def rec_qagse(f, a, b, epsabs):
+        out = qagse(f, a, b, epsabs)
+        quads.append((f, a, b, epsabs, out))
+        return out
+
+    def rec_qagie(f, bound, epsabs):
+        out = qagie(f, bound, epsabs)
+        quads.append((f, bound, math.inf, epsabs, out))
+        return out
+
+    def rec_find_root(f, lo, hi, tol=1e-13):
+        x = find_root(f, lo, hi, tol)
+        roots.append((f, lo, hi, tol, x))
+        return x
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(quadpack, "qagse", rec_qagse)
+    mp.setattr(quadpack, "qagie", rec_qagie)
+    for module in (analysis, catalog, gemini, geometry):
+        mp.setattr(module, "find_root", rec_find_root)
+    try:
+        _cold_verify_all(42)
+    finally:
+        mp.undo()
+    return quads, roots
+
+
+class TestQuadpackAgainstScipy:
+    def test_every_verify_call_bit_identical(self, verify_calls):
+        quads, _ = verify_calls
+        assert len(quads) > 50
+        for f, a, b, epsabs, (value, abserr, last, _) in quads:
+            ref = _scipy_quad(f, a, b, epsabs)
+            assert (value, abserr, last) == ref, (a, b, epsabs)
+
+    @pytest.mark.parametrize("f, a, b, epsabs", [
+        (lambda x: -math.log(x), 0.0, 1.0, 2.5e-11),  # ln x endpoint, extrapolated
+        (lambda x: math.log(x) ** 2 * x ** -0.9, 0.0, 1.0, 1e-6),
+        (lambda x: -math.log(-math.expm1(-x)), 0.0, math.inf, 2.5e-13),
+        (lambda x: 1.0 / (1.0 + x * x), 2.0, math.inf, 1e-12),
+        (math.sin, math.pi, 0.0, 1e-10),  # reversed interval
+        (lambda x: math.cos(100.0 * x), 0.0, 10.0, 1e-12),
+    ])
+    def test_synthetic_bit_identical(self, f, a, b, epsabs):
+        assert _port(f, a, b, epsabs)[:3] == _scipy_quad(f, a, b, epsabs)
+
+    def test_limit_exhaustion(self):
+        # sin(1/x) oscillates without end at 0: all 200 subintervals are used
+        f = lambda x: math.sin(1.0 / x)
+        got = quadpack.qagse(f, 0.0, 1.0, 1e-10)
+        assert got[2] == quadpack.LIMIT and got[3] == 1
+        assert got[:3] == _scipy_quad(f, 0.0, 1.0, 1e-10)
+
+    def test_roundoff_exit(self):
+        # a tolerance below 50*eps*int|f| cannot be met: roundoff flag, ier = 2
+        got = quadpack.qagse(math.sin, 0.0, math.pi, 1e-16)
+        assert got[3] == 2
+        assert got[:3] == _scipy_quad(math.sin, 0.0, math.pi, 1e-16)
+
+    def test_integrate_rejects_infinite_lower_limit(self):
+        with pytest.raises(ValueError):
+            integrate(math.exp, -math.inf, 0.0)
+        with pytest.raises(ValueError):
+            integrate(math.exp, 0.0, -math.inf)
+
+    def test_underflowing_tolerance_is_rejected(self):
+        # tol/4 rounds to 0; QUADPACK's ier = 6 would report 0 +- 0
+        with pytest.raises(ValueError):
+            quadpack.qagse(math.sin, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            integrate(math.sin, 0.0, 1.0, 5e-324)
+
+    def test_divergent_integral_raises(self):
+        with pytest.raises(AccuracyError):
+            integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+class TestGaussKronrodTables:
+    @staticmethod
+    def _scipy_table(rule):
+        seen = {}
+
+        def capture(a, b, f, norm_func, x, w, v):
+            seen.update(x=x, w=w, v=v)
+
+        mp = pytest.MonkeyPatch()
+        mp.setattr(_quad_vec, "_quadrature_gk", capture)
+        try:
+            rule(-1.0, 1.0, None, None)
+        finally:
+            mp.undo()
+        return seen
+
+    def test_gk21(self):
+        t = self._scipy_table(_quad_vec._quadrature_gk21)
+        assert quadpack._XGK21 == tuple(float(x) for x in t["x"][:11])
+        assert quadpack._WGK21 == tuple(float(v) for v in t["v"][:11])
+        assert quadpack._WG10 == tuple(float(w) for w in t["w"][:5])
+
+    def test_gk15(self):
+        t = self._scipy_table(_quad_vec._quadrature_gk15)
+        assert quadpack._XGK15 == tuple(float(x) for x in t["x"][:8])
+        assert quadpack._WGK15 == tuple(float(v) for v in t["v"][:8])
+        assert quadpack._WG7 == tuple(float(w) for w in t["w"][:4])
+
+    @pytest.mark.parametrize("n, nodes", [(10, quadpack._XGK21[1::2]),
+                                          (7, quadpack._XGK15[1::2])])
+    def test_gauss_nodes_are_legendre_roots(self, n, nodes):
+        # the Gauss nodes sit at the odd 0-based Kronrod positions
+        for x in nodes:
+            root = mpmath.findroot(lambda t: mpmath.legendre(n, t), x)
+            assert abs(x - float(root)) <= 2.0 * sys.float_info.epsilon
+
+
+class TestBrentAgainstScipy:
+    @staticmethod
+    def _brentq(f, lo, hi, tol):
+        return sci_optimize.brentq(f, lo, hi, xtol=tol, rtol=4.0 * sys.float_info.epsilon)
+
+    def test_registry_constants_bit_identical(self):
+        table = analysis.constants_table()
+        assert len(table) == 27
+        for c in table:
+            lo, hi = c.bracket
+            assert analysis.solve_constant(c) == self._brentq(c.fn, lo, hi, 1e-13), c.id
+
+    def test_every_catalog_solve_bit_identical(self, verify_calls):
+        _, roots = verify_calls
+        assert len(roots) > 100
+        for f, lo, hi, tol, x in roots:
+            assert x == self._brentq(f, lo, hi, tol), (lo, hi)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError):
+            analysis.find_root(lambda x: math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            analysis.find_root(lambda x: x - 0.3 if x < 0.9 else math.nan, 0.0, 1.0)
+
+
+class TestZeta:
+    def test_no_less_accurate_than_scipy(self):
+        # ulp error against mpmath on 1600 points of (1, 60]: 800 log-spaced
+        # towards the pole, 800 uniform
+        rng = random.Random(60)
+        pts = [1.0 + 10.0 ** rng.uniform(-12.0, math.log10(59.0)) for _ in range(800)]
+        pts += [rng.uniform(1.0, 60.0) for _ in range(800)]
+        worst_ours = worst_scipy = 0.0
+        with mpmath.workprec(113):
+            for s in pts:
+                ref = mpmath.zeta(s)
+                ulp = math.ulp(float(ref))
+                worst_ours = max(worst_ours, float(abs(polylog.zeta_fn(s) - ref)) / ulp)
+                worst_scipy = max(worst_scipy,
+                                  float(abs(float(sci_special.zeta(s)) - ref)) / ulp)
+        assert worst_ours <= worst_scipy
+        assert worst_ours <= 2.0
+
+    def test_large_arguments(self):
+        for s in (61.0, 400.0, 1e10, 1e300):
+            assert polylog.zeta_fn(s) == 1.0

@@ -47,6 +47,15 @@ class TestLi2Real:
         with pytest.raises(ValueError):
             polylog.li2_real(math.nan)
 
+    def test_li2_re_is_the_real_part(self):
+        xs = [float(x) for x in np.concatenate([-np.geomspace(1e-300, 1e6, 200),
+                                               np.geomspace(1e-300, 1e6, 200)])]
+        for x in xs + [-1.0, 0.0, 0.5, 1.0, 2.0]:
+            assert polylog.li2_re(x) == polylog.li2_real(x).real, x
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                polylog.li2_re(x)
+
 
 class TestLi2Complex:
     POINTS = [0.3 + 0.4j, -0.2 + 0.9j, 0.5 + 0.5j, -3.0 + 2.0j, 1.5 - 0.25j,
@@ -204,6 +213,19 @@ class TestSeriesCoefficients:
             ref = [float(mpmath.bernoulli(2 * n) / mpmath.factorial(2 * n + 1))
                    for n in range(1, 13)]
         assert list(polylog._LI2_COEFFS) == ref
+
+    def test_unrolled_li2_horner(self):
+        # _li2_series spells the _LI2_COEFFS Horner loop out; same roundings
+        def looped(w):
+            t, p = w * w, 0.0
+            for a in reversed(polylog._LI2_COEFFS):
+                p = p * t + a
+            return w + t * (w * p - 0.25)
+
+        ws = [float(w) for w in np.linspace(-1.05, 1.05, 401)]
+        ws += [complex(r, i) for r in ws[::20] for i in ws[::20]]
+        for w in ws:
+            assert polylog._li2_series(w) == looped(w), w
 
     def test_li3_table(self):
         b, fact = mpmath.bernoulli, mpmath.factorial
