@@ -11,6 +11,7 @@ self-inverse; a = 1 is the fundamental form and a = 0 the degenerate form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .analysis import BracketError, find_root
@@ -166,7 +167,9 @@ def median(a: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise BracketError("median bracket expansion failed")
-    return math.log(find_root(f, lo, hi))
+    # m > 1: an absolute tolerance of 1e-13 in m would leave up to 1e-13/m in
+    # ln(m); with tol = eps the relative 4*eps bound fixes ln(m) to a few ulps
+    return math.log(find_root(f, lo, hi, tol=sys.float_info.epsilon))
 
 
 def median_rule_residuals(a: float) -> tuple:

@@ -269,14 +269,14 @@ def li2_unit_circle(p: int, q: int) -> complex:
     """Li2(e^{i*pi*p/q}) from the real-part parabola rule and Cl2.
 
     Re = pi^2/6 - (2*pi*theta - theta^2)/4 with theta reduced to [0, 2pi);
-    Im = Cl2(theta).
+    Im = Cl2(theta).  p is reduced modulo 2q in integers, before any rounding,
+    so whole turns cost no accuracy: Li2(e^{44*pi*i}) is exactly pi^2/6.
     """
     if q == 0:
         raise ValueError("q must be nonzero")
-    theta = math.pi * p / q
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
+    if q < 0:
+        p, q = -p, -q
+    theta = math.pi * (p % (2 * q)) / q
     re = PI2_6 - (2.0 * math.pi * theta - theta * theta) / 4.0
     return complex(re, clausen_cl2(theta))
 

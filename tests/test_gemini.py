@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -169,6 +170,19 @@ class TestMedian:
             r1, r2 = gemini.median_rule_residuals(a)
             assert abs(r1) < 1e-10
             assert abs(r2) < 1e-10
+
+    @pytest.mark.parametrize("a", [-0.880786, -0.25666, 0.811167, 2.326067, 3.856513,
+                                   11.160492, 19.9])
+    def test_median_to_a_few_ulps(self, a):
+        # against the root of the half-area equation in ln(m), solved at 30 digits
+        x = gemini.median(a)
+        with mpmath.workdps(30):
+            am = mpmath.mpf(a)
+            li2 = lambda t: mpmath.re(mpmath.polylog(2, t))
+            half = mpmath.pi ** 2 / 12 - li2(-am) / 2
+            ref = float(mpmath.findroot(
+                lambda s: li2(mpmath.exp(-s)) - li2(-am * mpmath.exp(-s)) - half, x))
+        assert abs(x - ref) <= 2e-15 * max(1.0, abs(ref))
 
     def test_self_median_constant(self):
         # the shape factor whose median sits exactly at ln(a): 1.798533

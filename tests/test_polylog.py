@@ -180,6 +180,15 @@ class TestUnitCircle:
         with pytest.raises(ValueError):
             polylog.li2_unit_circle(1, 0)
 
+    @pytest.mark.parametrize("p,q", [(22, 1), (-22, 1), (22, 11), (-22, 11), (0, 7), (4, -2)])
+    def test_whole_turns_exact(self, p, q):
+        assert polylog.li2_unit_circle(p, q) == complex(PI2 / 6.0, 0.0)
+
+    @pytest.mark.parametrize("p,q", [(45, 2), (-45, 2), (1, -3), (25, 12), (-23, 12)])
+    def test_many_turns_and_negative_q(self, p, q):
+        ref = mp_li2(mpmath.expjpi(mpmath.mpf(p) / q))
+        assert abs(polylog.li2_unit_circle(p, q) - ref) < 2e-15
+
 
 class TestConstants:
     def test_catalan_series(self):
