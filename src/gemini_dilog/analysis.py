@@ -75,29 +75,47 @@ def integrate(
     return value
 
 
-# brentq's smallest relative tolerance, as scipy.optimize enforces it
-_RTOL = 4.0 * sys.float_info.epsilon
+# the one stopping rule: an absolute eps plus brentq's smallest relative
+# tolerance, 4*eps, as scipy.optimize enforces it
+_XTOL = sys.float_info.epsilon
+_RTOL = 4.0 * _XTOL
 _BRENT_MAXITER = 100
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Bracketed root solve (Brent); deterministic for fixed inputs.
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` on [lo, hi] by Brent's method, to the binary64 limit.
 
     A line-for-line port of scipy's ``brentq.c`` (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4) with ``xtol = tol`` and
-    ``rtol = 4*eps``, so it returns the same iterate bit for bit.  Raises
-    ``BracketError`` when f(lo) and f(hi) have the same sign, ``ValueError``
-    when f returns nan and ``AccuracyError`` after 100 iterations.
+    Minimization without Derivatives*, 1973, ch. 4) with ``xtol = eps`` and
+    ``rtol = 4*eps``, so it returns the same iterate bit for bit.
+    ``hi = math.inf`` grows the bracket: hi starts at the first power of two
+    above ``lo`` and doubles while f(hi) has the sign of f(lo); Brent then
+    runs on [lo, hi] with the two values already computed.  Raises
+    ``ValueError`` for ``hi = inf`` with ``lo`` not finite and positive or
+    when f returns nan, ``BracketError`` when f(lo) and f(hi) have the same
+    sign (or no sign change is found before hi overflows), and
+    ``AccuracyError`` after 100 iterations.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    fpre, fcur = f(lo), f(hi)
+    if hi == math.inf and not 0.0 < lo < math.inf:
+        raise ValueError(f"growing a bracket needs a finite lo > 0, got {lo!r}")
+    fpre = f(lo)
     if fpre == 0.0:
         return lo
+    if math.isnan(fpre):
+        raise ValueError(f"root function is nan at {lo!r}")
+    if hi == math.inf:
+        hi, fcur = math.ldexp(0.5, math.frexp(lo)[1]), fpre  # 2^k <= lo < 2^(k+1)
+        while (fpre > 0.0 and fcur > 0.0) or (fpre < 0.0 and fcur < 0.0):
+            hi *= 2.0
+            if hi == math.inf:
+                raise BracketError(f"no sign change on [{lo}, inf)")
+            fcur = f(hi)
+    else:
+        fcur = f(hi)
     if fcur == 0.0:
         return hi
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise ValueError(f"root function is nan at an end of [{lo}, {hi}]")
+    if math.isnan(fcur):
+        raise ValueError(f"root function is nan at {hi!r}")
     if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]")
     xpre, xcur = float(lo), float(hi)
@@ -115,7 +133,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
             fcur = fblk
             fblk = fpre
 
-        delta = (tol + _RTOL * abs(xcur)) / 2.0
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -157,11 +175,7 @@ def solve_trinomial(n: float, m: float) -> float:
     """The unique root > 1 of x^n - x^m - 1 = 0 for n > m > 0."""
     if not (n > m > 0):
         raise ValueError("need n > m > 0")
-    f = lambda x: x ** n - x ** m - 1.0
-    hi = 2.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return find_root(f, 1.0 + 1e-12, hi)
+    return find_root(lambda x: x ** n - x ** m - 1.0, 1.0 + 1e-12, math.inf)
 
 
 def solve_nstep(N: int, sign: str) -> float:
@@ -319,6 +333,6 @@ def constant_by_id(cid: str) -> NamedConstant:
     raise KeyError(cid)
 
 
-def solve_constant(c: NamedConstant, tol: float = 1e-13) -> float:
+def solve_constant(c: NamedConstant) -> float:
     """Re-solve a named constant from its defining equation."""
-    return find_root(c.fn, c.bracket[0], c.bracket[1], tol)
+    return find_root(c.fn, *c.bracket)

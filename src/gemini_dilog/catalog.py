@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from zlib import crc32
 
 from .analysis import (
+    AccuracyError,
     constant_by_id,
     find_root,
     integrate,
@@ -91,13 +92,8 @@ LN3 = math.log(3.0)
 ln = math.log
 
 
-def L(x: float) -> complex:
-    """Real-argument dilogarithm (lower lip for x > 1)."""
-    return li2_real(x)
-
-
-def Lc(z: complex) -> complex:
-    return li2_complex(z)
+L = li2_real  # real argument, lower lip for x > 1
+Lc = li2_complex
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +199,7 @@ def verify_entry(entry: IdentityEntry, tol: float = 1e-9, seed: int = 42) -> Ver
     for pt in pts:
         try:
             r = abs(complex(entry.residual(*pt)))
-        except Exception:
+        except (ArithmeticError, ValueError, AccuracyError):
             r = math.inf
         if r > worst:
             worst = r

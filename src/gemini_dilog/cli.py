@@ -13,7 +13,6 @@ import csv
 import decimal
 import io
 import json
-import os
 import sys
 
 from . import analysis, catalog, gemini, geometry, polylog
@@ -64,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--id", dest="entry_id", default=None, help="restrict to one entry id")
     pv.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
     pv.add_argument("--seed", type=int, default=42,
-                    help="sampling seed (default 42; GEMINI_DILOG_SEED overrides)")
+                    help="sampling seed (default 42)")
     pv.add_argument("--strict", action="store_true",
                     help="flagged-discrepancy entries also fail the run")
     pv.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -92,30 +91,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _eval_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     fn, args = ns.fn, ns.args
-    try:
-        if fn == "li2":
-            _need(parser, args, 1)
-            print(_fmt_complex(polylog.li2_real(float(args[0]))))
-        elif fn == "li2c":
-            _need(parser, args, 2)
-            print(_fmt_complex(polylog.li2_complex(complex(float(args[0]), float(args[1])))))
-        elif fn == "li3":
-            _need(parser, args, 1)
-            print(_fmt(polylog.li3_real(float(args[0]))))
-        elif fn == "chi2":
-            _need(parser, args, 1)
-            print(_fmt(polylog.chi2(float(args[0]))))
-        elif fn == "cl2":
-            _need(parser, args, 1)
-            print(_fmt(polylog.clausen_cl2(float(args[0]))))
-        elif fn == "trigamma":
-            _need(parser, args, 1)
-            print(_fmt(polylog.trigamma(float(args[0]))))
-        else:  # unit-circle
-            _need(parser, args, 2)
-            print(_fmt_complex(polylog.li2_unit_circle(int(args[0]), int(args[1]))))
-    except ValueError as exc:
-        parser.error(str(exc))
+    if fn == "li2":
+        _need(parser, args, 1)
+        print(_fmt_complex(polylog.li2_real(float(args[0]))))
+    elif fn == "li2c":
+        _need(parser, args, 2)
+        print(_fmt_complex(polylog.li2_complex(complex(float(args[0]), float(args[1])))))
+    elif fn == "li3":
+        _need(parser, args, 1)
+        print(_fmt(polylog.li3_real(float(args[0]))))
+    elif fn == "chi2":
+        _need(parser, args, 1)
+        print(_fmt(polylog.chi2(float(args[0]))))
+    elif fn == "cl2":
+        _need(parser, args, 1)
+        print(_fmt(polylog.clausen_cl2(float(args[0]))))
+    elif fn == "trigamma":
+        _need(parser, args, 1)
+        print(_fmt(polylog.trigamma(float(args[0]))))
+    else:  # unit-circle
+        _need(parser, args, 2)
+        print(_fmt_complex(polylog.li2_unit_circle(int(args[0]), int(args[1]))))
     return 0
 
 
@@ -167,16 +163,9 @@ def _constants_command(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    seed = ns.seed
-    env_seed = os.environ.get("GEMINI_DILOG_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            parser.error(f"GEMINI_DILOG_SEED is not an integer: {env_seed!r}")
+def _verify_command(ns: argparse.Namespace) -> int:
     reports = catalog.verify_all(group=ns.group, entry_id=ns.entry_id,
-                                 tol=ns.tol, seed=seed)
+                                 tol=ns.tol, seed=ns.seed)
     rows = [{
         "id": r.id,
         "group": r.group,
@@ -210,11 +199,8 @@ def _verify_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 1 if failed else 0
 
 
-def _area_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        d = gemini.area_decomposition(ns.a)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _area_command(ns: argparse.Namespace) -> int:
+    d = gemini.area_decomposition(ns.a)
     b2 = ns.b * ns.b
     row = {
         "total": d.total * b2,
@@ -271,9 +257,9 @@ def run(argv=None) -> int:
         if ns.command == "constants":
             return _constants_command(ns)
         if ns.command == "verify":
-            return _verify_command(ns, parser)
+            return _verify_command(ns)
         if ns.command == "area":
-            return _area_command(ns, parser)
+            return _area_command(ns)
         if ns.command == "median":
             print(_fmt(gemini.median(ns.a)))
             return 0
@@ -283,12 +269,9 @@ def run(argv=None) -> int:
         if ns.command == "moment":
             print(_fmt(geometry.raw_moment(ns.s)))
             return 0
-        if ns.command == "plot-data":
-            return _plot_command(ns, parser)
+        return _plot_command(ns, parser)  # plot-data
     except ValueError as exc:
         parser.error(str(exc))
-    parser.error("unknown command")
-    return 2
 
 
 def main() -> None:

@@ -11,7 +11,6 @@ self-inverse; a = 1 is the fundamental form and a = 0 the degenerate form.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .analysis import BracketError, find_root
@@ -161,15 +160,7 @@ def median(a: float) -> float:
     if not (a > -1.0):
         raise ValueError("median requires a > -1")
     f = lambda m: _median_halfarea_residual(m, a)
-    lo = 1.0 + 1e-9
-    hi = 2.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise BracketError("median bracket expansion failed")
-    # m > 1: an absolute tolerance of 1e-13 in m would leave up to 1e-13/m in
-    # ln(m); with tol = eps the relative 4*eps bound fixes ln(m) to a few ulps
-    return math.log(find_root(f, lo, hi, tol=sys.float_info.epsilon))
+    return math.log(find_root(f, 1.0 + 1e-9, math.inf))
 
 
 def median_rule_residuals(a: float) -> tuple:
@@ -188,6 +179,7 @@ _SQRT2 = math.sqrt(2.0)
 
 def rotated_degenerate(x: float) -> float:
     """The degenerate form rotated by 45 degrees: (1/sqrt2) ln(2cosh(x sqrt2)+2)."""
+    _require_finite(x, "x")
     # even in x; write via |x| to avoid cosh overflow asymmetry
     t = _SQRT2 * abs(x)
     return (t + 2.0 * math.log1p(math.exp(-t))) / _SQRT2
@@ -219,12 +211,7 @@ def inverse_pair_solve_a(n: float) -> float:
     f = lambda a: li2_re(-a) - A * PI2_6 - B * math.log(a) ** 2
     if abs(f(1.0)) < 1e-13:
         return 1.0
-    hi = 2.0
-    while f(hi) * f(1.0 + 1e-9) > 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise BracketError("inverse-pair bracket expansion failed")
-    return find_root(f, 1.0 + 1e-9, hi)
+    return find_root(f, 1.0 + 1e-9, math.inf)
 
 
 def scale_fit(a1: float, a2: float) -> float:

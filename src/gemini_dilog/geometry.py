@@ -135,8 +135,11 @@ def equal_radii_point() -> float:
 
 
 def arcgd(theta: float) -> float:
-    """Inverse Gudermannian arcgd(theta) = 2*artanh(tan(theta/2))."""
-    return 2.0 * math.atanh(math.tan(0.5 * theta))
+    """Inverse Gudermannian arcgd(theta) = 2*artanh(tan(theta/2)), |tan(theta/2)| < 1."""
+    t = math.tan(0.5 * theta) if math.isfinite(theta) else math.nan
+    if not abs(t) < 1.0:
+        raise ValueError(f"arcgd({theta!r}) needs finite theta with |tan(theta/2)| < 1")
+    return 2.0 * math.atanh(t)
 
 
 def _sweep_sq(theta: float) -> float:

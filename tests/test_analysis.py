@@ -89,6 +89,37 @@ class TestFindRoot:
         f = lambda x: math.cos(x) - x
         assert find_root(f, 0.0, 1.0) == find_root(f, 0.0, 1.0)
 
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x ** 3 - 1e6, 1.0 + 1e-9, 128.0),
+        (lambda x: x ** 3 - 1e6, 1.0, 128.0),
+        (lambda x: x ** 3 - 1e6, 0.3, 128.0),
+        (lambda x: x ** 3 - 1e6, 70.0, 128.0),
+        (lambda x: math.log(x) - 2.0, 1e-300, 8.0),
+    ])
+    def test_grown_bracket_equals_finite_bracket(self, f, lo, hi):
+        # doubling from the first power of two above lo stops at hi
+        assert find_root(f, lo, math.inf) == find_root(f, lo, hi)
+
+    def test_grown_bracket_reuses_endpoint_values(self):
+        xs = []
+        find_root(lambda x: xs.append(x) or x - 5.0, 1.0, math.inf)
+        assert xs[:4] == [1.0, 2.0, 4.0, 8.0]
+        assert len(xs) == len(set(xs))
+
+    def test_grown_bracket_returns_a_zero_endpoint(self):
+        assert find_root(lambda x: x - 8.0, 1.0, math.inf) == 8.0
+
+    def test_no_sign_change_before_overflow(self):
+        with pytest.raises(BracketError):
+            find_root(lambda x: 1.0 + 1.0 / x, 1.0, math.inf)
+        with pytest.raises(BracketError):
+            find_root(lambda x: -x, 1e308, math.inf)
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0, -math.inf, math.inf, math.nan])
+    def test_grown_bracket_needs_finite_positive_lo(self, lo):
+        with pytest.raises(ValueError, match="finite lo > 0"):
+            find_root(lambda x: x - 5.0, lo, math.inf)
+
 
 class TestAlgebraicSolvers:
     def test_trinomial_golden_ratio(self):

@@ -1,6 +1,7 @@
 """Unit tests for the identity catalog and its verifier."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -101,6 +102,22 @@ class TestVerifyEntry:
         rep = verify_entry(e, tol=1e-12)
         assert rep.tol == e.tol
         assert rep.status == "pass"
+
+    @staticmethod
+    def _raising_entry(exc):
+        def res():
+            raise exc
+        return catalog.IdentityEntry("t-raises", "G1", "closed_form", res,
+                                     catalog.Anchor("0", "synthetic"))
+
+    def test_contract_error_is_a_failed_sample(self):
+        rep = verify_entry(self._raising_entry(ValueError("outside the domain")))
+        assert rep.max_abs_residual == math.inf
+        assert rep.status == "fail"
+
+    def test_programming_error_propagates(self):
+        with pytest.raises(TypeError):
+            verify_entry(self._raising_entry(TypeError("bad operand")))
 
     def test_report_fields(self):
         rep = verify_entry(catalog_entry("g01-total-area"))

@@ -172,7 +172,7 @@ class TestMedian:
             assert abs(r2) < 1e-10
 
     @pytest.mark.parametrize("a", [-0.880786, -0.25666, 0.811167, 2.326067, 3.856513,
-                                   11.160492, 19.9])
+                                   11.160492, 19.9, 1e100, 1e300])
     def test_median_to_a_few_ulps(self, a):
         # against the root of the half-area equation in ln(m), solved at 30 digits
         x = gemini.median(a)
@@ -200,6 +200,11 @@ class TestRotatedDegenerate:
         for x in (-2.0, -0.5, 0.0, 0.5, 2.0, 40.0):
             ref = math.log(2.0 * math.cosh(math.sqrt(2.0) * x) + 2.0) / math.sqrt(2.0)
             assert gemini.rotated_degenerate(x) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_a_value_error(self, x):
+        with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+            gemini.rotated_degenerate(x)
 
     def test_antiderivative_consistency(self):
         h = 1e-6

@@ -159,6 +159,11 @@ class TestMamikon:
             theta = geometry.curvature_profile(x).theta
             assert geometry.arcgd(theta) == pytest.approx(x, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [1.6, -1.6, 3.0, math.inf, math.nan])
+    def test_arcgd_domain(self, theta):
+        with pytest.raises(ValueError, match=r"arcgd\(.*\) needs finite theta with \|tan"):
+            geometry.arcgd(theta)
+
     def test_tangent_sweep_area(self):
         assert geometry.mamikon_area() == pytest.approx(PI ** 2 / 4.0,
                                                         abs=1e-8)

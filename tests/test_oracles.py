@@ -59,9 +59,17 @@ def verify_calls():
         quads.append((f, bound, math.inf, epsabs, out))
         return out
 
-    def rec_find_root(f, lo, hi, tol=1e-13):
-        x = find_root(f, lo, hi, tol)
-        roots.append((f, lo, hi, tol, x))
+    def rec_find_root(f, lo, hi):
+        # the bracket Brent ran: with hi = inf, the last of the doubled
+        # points find_root evaluated after lo, before Brent's own iterates
+        xs = []
+        x = find_root(lambda t: xs.append(t) or f(t), lo, hi)
+        if hi == math.inf:
+            k = 1
+            while k + 1 < len(xs) and xs[k + 1] == 2.0 * xs[k]:
+                k += 1
+            hi = xs[k]
+        roots.append((f, lo, hi, x))
         return x
 
     mp = pytest.MonkeyPatch()
@@ -165,27 +173,82 @@ class TestGaussKronrodTables:
 
 class TestBrentAgainstScipy:
     @staticmethod
-    def _brentq(f, lo, hi, tol):
-        return sci_optimize.brentq(f, lo, hi, xtol=tol, rtol=4.0 * sys.float_info.epsilon)
+    def _brentq(f, lo, hi):
+        eps = sys.float_info.epsilon
+        return sci_optimize.brentq(f, lo, hi, xtol=eps, rtol=4.0 * eps)
 
     def test_registry_constants_bit_identical(self):
         table = analysis.constants_table()
         assert len(table) == 27
         for c in table:
-            lo, hi = c.bracket
-            assert analysis.solve_constant(c) == self._brentq(c.fn, lo, hi, 1e-13), c.id
+            assert analysis.solve_constant(c) == self._brentq(c.fn, *c.bracket), c.id
 
     def test_every_catalog_solve_bit_identical(self, verify_calls):
         _, roots = verify_calls
         assert len(roots) > 100
-        for f, lo, hi, tol, x in roots:
-            assert x == self._brentq(f, lo, hi, tol), (lo, hi)
+        assert any(hi > 2.0 for _, lo, hi, _ in roots if lo == 1.0 + 1e-9)  # grown brackets
+        for f, lo, hi, x in roots:
+            assert x == self._brentq(f, lo, hi), (lo, hi)
 
     def test_nan_raises(self):
         with pytest.raises(ValueError):
             analysis.find_root(lambda x: math.nan, 0.0, 1.0)
         with pytest.raises(ValueError):
             analysis.find_root(lambda x: x - 0.3 if x < 0.9 else math.nan, 0.0, 1.0)
+
+
+def _re_li2(x):
+    return mpmath.re(mpmath.polylog(2, x))
+
+
+# the registry's defining equations, written independently in mpmath
+_MP_CONSTANTS = {
+    "phi": lambda x: x * x - x - 1,
+    "plastic": lambda x: x ** 3 - x - 1,
+    "supergolden": lambda x: x ** 3 - x * x - 1,
+    "theta1": lambda x: x ** 4 - x ** 3 - 1,
+    "a4": lambda x: x ** 4 - x - 1,
+    "tribonacci": lambda x: x ** 3 - x * x - x - 1,
+    "k0": lambda x: x ** (mpmath.sqrt(2) + 1) - x ** mpmath.sqrt(2) - 1,
+    "addinacci_super_fixed_point": lambda x: x - 1 - mpmath.sqrt(1 + x ** -x),
+    "addinacci_2": lambda x: x ** 3 - 2 * x * x - 1,
+    "infinacci": lambda x: x - 2,
+    "a_c": lambda a: (_re_li2(-a) - mpmath.pi ** 2 / 6
+                      + 3 * mpmath.log(1 + mpmath.sqrt(1 + a)) ** 2),
+    "laplace_limit": lambda x: (mpmath.log((1 + mpmath.sqrt(1 + x * x)) / x)
+                                - mpmath.sqrt(1 + x * x)),
+    "C_CFP": lambda x: mpmath.coth(x) - x,
+    "magic_angle": lambda x: mpmath.tan(x) - mpmath.sqrt(2),
+    "delta_s": lambda x: mpmath.exp(x) - 1 - mpmath.sqrt(2),
+    "median_n1": lambda a: _re_li2(1 / a) + _re_li2(-a) / 2,
+    "median_n2": lambda m: ((_re_li2(1 / m ** 2) - _re_li2(-1 / m ** 2)) / 2
+                            - mpmath.log(m) ** 2 / 2),
+    "median_n3": lambda m: (_re_li2(1 / m) - _re_li2(-m ** 2) - mpmath.pi ** 2 / 12
+                            + _re_li2(-m ** 3) / 2),
+    "a_no_pi2": lambda a: _re_li2(-a) + mpmath.pi ** 2 / 6,
+    "p_median_zero": lambda p: (_re_li2(1 / p) - mpmath.pi ** 2 / 4
+                                + mpmath.log(mpmath.sqrt(p - 1)) ** 2
+                                + mpmath.log(p) * mpmath.log(mpmath.sqrt(p) / (p - 1))),
+    "a_crit_p2": lambda a: (_re_li2(-a) - mpmath.pi ** 2 / 6
+                            + (a + 2) / (2 * a) * mpmath.log(a + 1)),
+}
+for _n in range(2, 8):
+    _MP_CONSTANTS[f"inverse_pair_a_n{_n}"] = (
+        lambda a, n=_n: _re_li2(-a) + mpmath.mpf(2 * n - 1) / (n + 1) * mpmath.pi ** 2 / 6
+        + mpmath.mpf(n) / (n + 1) * mpmath.log(a) ** 2 / 2)
+
+
+class TestConstantsAgainstMpmath:
+    def test_every_constant_within_12_ulps_of_its_root(self):
+        # Brent stops at the binary64 limit; what is left is the rounding of
+        # each equation in binary64 (a_c and inverse_pair_a_n6 need all 12)
+        table = analysis.constants_table()
+        assert {c.id for c in table} == set(_MP_CONSTANTS)
+        for c in table:
+            x = analysis.solve_constant(c)
+            with mpmath.workdps(40):
+                root = mpmath.findroot(_MP_CONSTANTS[c.id], mpmath.mpf(x))
+            assert abs(x - root) <= 12 * math.ulp(float(root)), c.id
 
 
 class TestZeta:
