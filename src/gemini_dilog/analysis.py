@@ -7,7 +7,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from . import quadpack
 from .polylog import PI2_6, chi2, li2_re
 
 __all__ = [
@@ -60,6 +59,8 @@ def integrate(
         raise ValueError(f"tol {tol!r} underflows binary64")
     if not math.isfinite(lo) or math.isnan(hi) or hi == -math.inf:
         raise ValueError(f"integrate needs finite lo and hi or hi = inf, got [{lo}, {hi}]")
+    from . import quadpack  # loaded here: of the subcommands, only verify integrates
+
     try:
         # roundoff flags (ier > 0) need no separate handling: the error
         # estimate is checked below
@@ -175,7 +176,16 @@ def solve_trinomial(n: float, m: float) -> float:
     """The unique root > 1 of x^n - x^m - 1 = 0 for n > m > 0."""
     if not (n > m > 0):
         raise ValueError("need n > m > 0")
-    return find_root(lambda x: x ** n - x ** m - 1.0, 1.0 + 1e-12, math.inf)
+
+    def f(x: float) -> float:
+        try:
+            return x ** n - x ** m - 1.0
+        except OverflowError:
+            # the root has r^n = 1 + r^m below binary64's maximum, so an x
+            # whose x^n overflows lies above it, where f > 0
+            return math.inf
+
+    return find_root(f, 1.0 + 1e-12, math.inf)
 
 
 def solve_nstep(N: int, sign: str) -> float:

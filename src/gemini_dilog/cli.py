@@ -9,13 +9,11 @@ plot-data emission.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import decimal
-import io
-import json
 import sys
 
-from . import analysis, catalog, gemini, geometry, polylog
+# Each subcommand imports the modules it runs, so a cold process compiles
+# only those: ``eval`` loads polylog alone, and only verify and plot-data
+# load numpy.
 
 _EVAL_FNS = ("li2", "li2c", "li3", "chi2", "cl2", "trigamma", "unit-circle")
 _PLOT_SERIES = ("r-of-a", "atot-p", "geminoid-profile")
@@ -32,6 +30,8 @@ def _fmt(x: float) -> str:
         return "0.000000000000000"
     if not (1e-6 <= abs(x) < 1e7):
         return f"{x:.15e}"
+    import decimal
+
     d = decimal.Decimal(repr(x)).quantize(decimal.Decimal("1e-15"),
                                           rounding=decimal.ROUND_HALF_EVEN)
     return format(d, "f")
@@ -90,6 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _eval_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import polylog
+
     fn, args = ns.fn, ns.args
     if fn == "li2":
         _need(parser, args, 1)
@@ -121,6 +123,8 @@ def _need(parser: argparse.ArgumentParser, args: list, n: int) -> None:
 
 
 def _constants_rows() -> list:
+    from . import analysis
+
     rows = []
     for c in analysis.constants_table():
         rows.append({
@@ -135,9 +139,14 @@ def _constants_rows() -> list:
 
 def _print_table(rows: list, columns: list, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(rows, indent=2))
         return
     if fmt == "csv":
+        import csv
+        import io
+
         out = io.StringIO()
         w = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
         w.writeheader()
@@ -164,6 +173,8 @@ def _constants_command(ns: argparse.Namespace) -> int:
 
 
 def _verify_command(ns: argparse.Namespace) -> int:
+    from . import catalog
+
     reports = catalog.verify_all(group=ns.group, entry_id=ns.entry_id,
                                  tol=ns.tol, seed=ns.seed)
     rows = [{
@@ -177,7 +188,7 @@ def _verify_command(ns: argparse.Namespace) -> int:
     } for r in reports]
 
     if ns.format == "json":
-        print(json.dumps(rows, indent=2))
+        _print_table(rows, [], "json")
     elif ns.format == "csv":
         flat = [dict(r, worst_params=";".join(
             f"{k}={v!r}" for k, v in r["worst_params"].items())) for r in rows]
@@ -200,6 +211,8 @@ def _verify_command(ns: argparse.Namespace) -> int:
 
 
 def _area_command(ns: argparse.Namespace) -> int:
+    from . import gemini
+
     d = gemini.area_decomposition(ns.a)
     b2 = ns.b * ns.b
     row = {
@@ -210,6 +223,8 @@ def _area_command(ns: argparse.Namespace) -> int:
         "between_limits": d.between_limits * b2,
     }
     if ns.format == "json":
+        import json
+
         print(json.dumps(row, indent=2))
     elif ns.format == "csv":
         cols = list(row)
@@ -226,7 +241,11 @@ def _plot_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("--points must be at least 2")
     if n > _MAX_POINTS:
         parser.error(f"--points must be at most {_MAX_POINTS}, got {n}")
+    import csv
+
     import numpy as np  # the grids; no other subcommand needs numpy
+
+    from . import gemini, geometry
 
     w = csv.writer(sys.stdout, lineterminator="\n")
     if ns.series == "r-of-a":
@@ -261,12 +280,18 @@ def run(argv=None) -> int:
         if ns.command == "area":
             return _area_command(ns)
         if ns.command == "median":
+            from . import gemini
+
             print(_fmt(gemini.median(ns.a)))
             return 0
         if ns.command == "volume":
+            from . import gemini, geometry
+
             print(_fmt(geometry.geminoid_volume(gemini.GeminiParams(ns.a, ns.b))))
             return 0
         if ns.command == "moment":
+            from . import geometry
+
             print(_fmt(geometry.raw_moment(ns.s)))
             return 0
         return _plot_command(ns, parser)  # plot-data

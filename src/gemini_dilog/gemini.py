@@ -206,8 +206,16 @@ def inverse_pair_prediction(n: float) -> tuple:
 
 
 def inverse_pair_solve_a(n: float) -> float:
-    """Solve the inverse-pair prediction for the shape factor a."""
+    """Solve the inverse-pair prediction for the shape factor a.
+
+    The root lies above 1 for n > 1 and in (0, 1) for n < 1, where the
+    prediction's symmetry a(n) = 1/a(1/n) gives it: n -> 1/n swaps the two
+    coefficient pairs, and the inversion formula maps the first relation
+    onto the second.
+    """
     (A, B), _ = inverse_pair_prediction(n)
+    if n < 1.0:
+        return 1.0 / inverse_pair_solve_a(1.0 / n)
     f = lambda a: li2_re(-a) - A * PI2_6 - B * math.log(a) ** 2
     if abs(f(1.0)) < 1e-13:
         return 1.0

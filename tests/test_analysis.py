@@ -135,6 +135,21 @@ class TestAlgebraicSolvers:
         with pytest.raises(ValueError):
             solve_trinomial(1, 2)
 
+    # mpmath roots (60 digits); x**n overflows at the first bracket point 2.0
+    @pytest.mark.parametrize("n, m, root", [
+        (2000, 1, "1.000346720356469264162217"),
+        (1100.0, 1.0, "1.000630619157104166879738"),
+        (2000, 1100, "1.000504346092692941482072"),
+    ])
+    def test_trinomial_large_n_to_a_few_ulps(self, n, m, root):
+        x = solve_trinomial(n, m)
+        assert abs(x - float(root)) <= 2.0 * math.ulp(x)
+
+    def test_trinomial_root_below_the_bracket_keeps_the_contract(self):
+        # the root lies below 1 + 1e-12, where x**n already overflows
+        with pytest.raises(BracketError):
+            solve_trinomial(1e300, 1.0)
+
     def test_nbonacci_limits(self):
         # N-bonacci constants increase toward 2, N-addinacci decrease toward 2
         prev = 0.0

@@ -79,11 +79,62 @@ def test_python_dash_m_runs_main():
     assert done.stderr == ""
 
 
-def test_cli_is_an_attribute_of_the_package():
-    done = subprocess.run([sys.executable, "-c",
-                           "import gemini_dilog; print(gemini_dilog.cli.__name__)"],
+_SUBMODULES = ("analysis", "catalog", "cli", "gemini", "geometry", "polylog", "quadpack")
+
+# a bare import loads no submodule; then each one resolves on first access,
+# by attribute or by from-import, whichever comes first
+_FIRST_ACCESS = """
+import sys, gemini_dilog
+print(sorted(m for m in sys.modules if m.startswith("gemini_dilog")))
+for name in {names!r}:
+    if {by_attribute}:
+        first = getattr(gemini_dilog, name)
+        exec(f"from gemini_dilog import {{name}} as second")
+    else:
+        exec(f"from gemini_dilog import {{name}} as first")
+        second = getattr(gemini_dilog, name)
+    assert first is second is sys.modules["gemini_dilog." + name], name
+"""
+
+
+@pytest.mark.parametrize("by_attribute", [True, False])
+def test_every_submodule_loads_on_first_access(by_attribute):
+    script = _FIRST_ACCESS.format(names=_SUBMODULES, by_attribute=by_attribute)
+    done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "gemini_dilog.cli\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['gemini_dilog']\n", "")
+
+
+def test_unknown_attribute_of_the_package():
+    import gemini_dilog
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        gemini_dilog.nope
+
+
+# a process compiles every module it imports, so each subcommand loads only
+# the modules it runs
+_LOADED = """
+import contextlib, io, json, sys
+from gemini_dilog import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(json.loads(sys.argv[1]))
+print(code, sorted(m[len("gemini_dilog."):] for m in sys.modules
+                   if m.startswith("gemini_dilog.")))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["eval", "li2", "0.5"], ["cli", "polylog"]),
+    (["area", "1"], ["analysis", "cli", "gemini", "polylog"]),
+    (["median", "1.5"], ["analysis", "cli", "gemini", "polylog"]),
+    (["volume", "1", "--b", "1.2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
+    (["moment", "2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
+    (["constants", "--format", "json"], ["analysis", "cli", "polylog"]),
+], ids=["eval", "area", "median", "volume", "moment", "constants"])
+def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
+    done = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"0 {loaded}\n", "")
 
 
 def test_import_leaves_mpmath_out():

@@ -236,6 +236,15 @@ class TestInversePairs:
     def test_n_one_gives_unit_shape(self):
         assert gemini.inverse_pair_solve_a(1.0) == 1.0
 
+    # mpmath roots on (0, 1), where f(1) < 0 and f -> +inf as a -> 0+
+    @pytest.mark.parametrize("n, ref", [
+        (0.5, 0.28317511448398600),
+        (0.25, 0.067754459529931364),
+        (0.8, 0.67159719966475455),
+    ])
+    def test_n_below_one(self, n, ref):
+        assert gemini.inverse_pair_solve_a(n) == pytest.approx(ref, rel=1e-14)
+
 
 class TestScaleAndCritical:
     def test_scale_fit_matches_areas(self):
