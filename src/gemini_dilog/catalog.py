@@ -37,7 +37,6 @@ from .gemini import (
     fixed_point,
     median,
     median_rule_residuals,
-    symmetric_partner,
     total_area,
     value,
 )
@@ -58,7 +57,6 @@ from .polylog import (
     PI2_12,
     catalan,
     chi2,
-    clausen_cl2,
     gieseking,
     li2_complex,
     li2_real,
@@ -192,6 +190,12 @@ def residual(entry: IdentityEntry, params: Sequence[float] = ()) -> complex:
 
 
 def verify_entry(entry: IdentityEntry, tol: float = 1e-9, seed: int = 42) -> VerificationReport:
+    """Sample the entry's domain and report its worst residual.
+
+    Raises ValueError unless ``tol`` is positive and finite.
+    """
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     eff_tol = entry.tol if entry.tol is not None else tol
     pts = _sample_points(entry, seed)
     worst = -1.0
@@ -229,7 +233,8 @@ def verify_all(
 ) -> list:
     """Verify the built-in catalog (optionally filtered); reports in id order.
 
-    Raises ValueError when ``group`` or ``entry_id`` names no catalog entry.
+    Raises ValueError when ``group`` or ``entry_id`` names no catalog entry,
+    or unless ``tol`` is positive and finite.
     """
     entries = builtin_catalog()
     if group is not None:

@@ -9,13 +9,24 @@ plot-data emission.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 # Each subcommand imports the modules it runs, so a cold process compiles
 # only those: ``eval`` loads polylog alone, and only verify and plot-data
 # load numpy.
 
-_EVAL_FNS = ("li2", "li2c", "li3", "chi2", "cl2", "trigamma", "unit-circle")
+# eval function -> (argument count, argument type, call on the polylog module);
+# every value prints through _fmt_complex, which prints a real one as _fmt does
+_EVAL = {
+    "li2": (1, float, lambda pl, x: pl.li2_real(x)),
+    "li2c": (2, float, lambda pl, x, y: pl.li2_complex(complex(x, y))),
+    "li3": (1, float, lambda pl, x: pl.li3_real(x)),
+    "chi2": (1, float, lambda pl, x: pl.chi2(x)),
+    "cl2": (1, float, lambda pl, x: pl.clausen_cl2(x)),
+    "trigamma": (1, float, lambda pl, x: pl.trigamma(x)),
+    "unit-circle": (2, int, lambda pl, p, q: pl.li2_unit_circle(p, q)),
+}
 _PLOT_SERIES = ("r-of-a", "atot-p", "geminoid-profile")
 _MAX_POINTS = 10 ** 7  # plot-data builds its grid in memory: 80 MB at this bound
 
@@ -44,15 +55,27 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)} {sign} {_fmt(abs(z.imag))} i"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e-3 as a negative number, not as an option.
+
+    argparse before Python 3.13 takes only the -12 and -1.5 forms for numbers;
+    subparsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gemini-dilog",
         description="Gemini-function and dilogarithm identity toolkit.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a special function")
-    pe.add_argument("fn", choices=_EVAL_FNS)
+    pe.add_argument("fn", choices=_EVAL)
     pe.add_argument("args", nargs="+", help="function arguments")
 
     pc = sub.add_parser("constants", help="print the named-constant table")
@@ -92,34 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _eval_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import polylog
 
-    fn, args = ns.fn, ns.args
-    if fn == "li2":
-        _need(parser, args, 1)
-        print(_fmt_complex(polylog.li2_real(float(args[0]))))
-    elif fn == "li2c":
-        _need(parser, args, 2)
-        print(_fmt_complex(polylog.li2_complex(complex(float(args[0]), float(args[1])))))
-    elif fn == "li3":
-        _need(parser, args, 1)
-        print(_fmt(polylog.li3_real(float(args[0]))))
-    elif fn == "chi2":
-        _need(parser, args, 1)
-        print(_fmt(polylog.chi2(float(args[0]))))
-    elif fn == "cl2":
-        _need(parser, args, 1)
-        print(_fmt(polylog.clausen_cl2(float(args[0]))))
-    elif fn == "trigamma":
-        _need(parser, args, 1)
-        print(_fmt(polylog.trigamma(float(args[0]))))
-    else:  # unit-circle
-        _need(parser, args, 2)
-        print(_fmt_complex(polylog.li2_unit_circle(int(args[0]), int(args[1]))))
+    n, kind, call = _EVAL[ns.fn]
+    if len(ns.args) != n:
+        parser.error(f"expected {n} argument(s), got {len(ns.args)}")
+    print(_fmt_complex(call(polylog, *map(kind, ns.args))))
     return 0
-
-
-def _need(parser: argparse.ArgumentParser, args: list, n: int) -> None:
-    if len(args) != n:
-        parser.error(f"expected {n} argument(s), got {len(args)}")
 
 
 def _constants_rows() -> list:
@@ -173,36 +173,28 @@ def _constants_command(ns: argparse.Namespace) -> int:
 
 
 def _verify_command(ns: argparse.Namespace) -> int:
+    import dataclasses
+
     from . import catalog
 
     reports = catalog.verify_all(group=ns.group, entry_id=ns.entry_id,
                                  tol=ns.tol, seed=ns.seed)
-    rows = [{
-        "id": r.id,
-        "group": r.group,
-        "samples": r.samples,
-        "max_abs_residual": r.max_abs_residual,
-        "worst_params": r.worst_params,
-        "status": r.status,
-        "tol": r.tol,
-    } for r in reports]
-
-    if ns.format == "json":
-        _print_table(rows, [], "json")
-    elif ns.format == "csv":
-        flat = [dict(r, worst_params=";".join(
-            f"{k}={v!r}" for k, v in r["worst_params"].items())) for r in rows]
-        _print_table(flat, ["id", "group", "samples", "max_abs_residual",
-                            "worst_params", "status", "tol"], "csv")
-    else:
-        for r in rows:
-            print(f"{r['id']:36s} {r['group']:4s} {r['status']:20s} "
-                  f"max|res|={r['max_abs_residual']:.3e} "
-                  f"tol={r['tol']:.0e} samples={r['samples']}")
-        n_fail = sum(1 for r in rows if r["status"] == "fail")
-        n_flag = sum(1 for r in rows if r["status"].startswith("flagged"))
-        print(f"{len(rows)} entries: {len(rows) - n_fail - n_flag} pass, "
+    if ns.format == "text":
+        for r in reports:
+            print(f"{r.id:36s} {r.group:4s} {r.status:20s} "
+                  f"max|res|={r.max_abs_residual:.3e} "
+                  f"tol={r.tol:.0e} samples={r.samples}")
+        n_fail = sum(1 for r in reports if r.status == "fail")
+        n_flag = sum(1 for r in reports if r.status.startswith("flagged"))
+        print(f"{len(reports)} entries: {len(reports) - n_fail - n_flag} pass, "
               f"{n_flag} flagged, {n_fail} fail")
+    else:
+        rows = [dataclasses.asdict(r) for r in reports]
+        if ns.format == "csv":
+            for r in rows:
+                r["worst_params"] = ";".join(f"{k}={v!r}" for k, v in r["worst_params"].items())
+        columns = [f.name for f in dataclasses.fields(catalog.VerificationReport)]
+        _print_table(rows, columns, ns.format)
 
     failed = any(r.status == "fail" for r in reports)
     if ns.strict:
@@ -211,17 +203,11 @@ def _verify_command(ns: argparse.Namespace) -> int:
 
 
 def _area_command(ns: argparse.Namespace) -> int:
+    import dataclasses
+
     from . import gemini
 
-    d = gemini.area_decomposition(ns.a)
-    b2 = ns.b * ns.b
-    row = {
-        "total": d.total * b2,
-        "middle_square": d.middle_square * b2,
-        "apex": d.apex * b2,
-        "rectangle": d.rectangle * b2,
-        "between_limits": d.between_limits * b2,
-    }
+    row = dataclasses.asdict(gemini.area_decomposition(gemini.GeminiParams(ns.a, ns.b)))
     if ns.format == "json":
         import json
 

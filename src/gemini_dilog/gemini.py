@@ -68,6 +68,13 @@ class AreaDecomposition:
     between_limits: float
 
 
+def _no_overflow(result: float, fn: str, *args) -> float:
+    """``result`` of ``fn(*args)``; ValueError where it overflowed binary64."""
+    if not math.isfinite(result):
+        raise ValueError(f"{fn}({', '.join(map(repr, args))}) overflows binary64")
+    return result
+
+
 def value(p: GeminiParams, x: float) -> float:
     """g_a^b(x) for x > 0."""
     if not (x > 0.0):
@@ -75,7 +82,7 @@ def value(p: GeminiParams, x: float) -> float:
     u = x / p.b
     e = math.exp(-u)
     # log1p/expm1 forms keep the small-x blow-up well conditioned
-    return p.b * (math.log1p(p.a * e) - math.log(-math.expm1(-u)))
+    return _no_overflow(p.b * (math.log1p(p.a * e) - math.log(-math.expm1(-u))), "value", p, x)
 
 
 def antiderivative(p: GeminiParams, x: float) -> float:
@@ -83,17 +90,18 @@ def antiderivative(p: GeminiParams, x: float) -> float:
     if x < 0.0:
         raise ValueError("antiderivative is used on x >= 0")
     e = math.exp(-x / p.b)
-    return p.b * p.b * (li2_re(-p.a * e) - li2_re(e))
+    return _no_overflow(p.b * p.b * (li2_re(-p.a * e) - li2_re(e)), "antiderivative", p, x)
 
 
 def area_between(p: GeminiParams, x1: float, x2: float) -> float:
     """Signed area under the curve between x1 and x2."""
+    # F <= 0 rises to F(inf) = 0, so the difference of two finite F is finite
     return antiderivative(p, x2) - antiderivative(p, x1)
 
 
 def total_area(p: GeminiParams) -> float:
     """b^2 (pi^2/6 - Li2(-a)); zero in the completely degenerate case a = -1."""
-    return p.b * p.b * (PI2_6 - li2_re(-p.a))
+    return _no_overflow(p.b * p.b * (PI2_6 - li2_re(-p.a)), "total_area", p)
 
 
 def fixed_point(a: float) -> float:
@@ -112,18 +120,19 @@ def symmetric_partner(a: float, x1: float) -> float:
     return math.log((X + a) / (X - 1.0))
 
 
-def area_decomposition(a: float) -> AreaDecomposition:
-    """Decompose the total area at the fixed point: A_tot = A0 + 2 A_a."""
-    if a < -1.0:
-        raise ValueError("shape factor must satisfy a >= -1")
-    total = PI2_6 - li2_re(-a)
-    x0 = fixed_point(a)
+def area_decomposition(p: GeminiParams) -> AreaDecomposition:
+    """Sections of A_tot = A0 + 2 A_a at the fixed point, each scaled by b^2 last."""
+    total = PI2_6 - li2_re(-p.a)
+    x0 = fixed_point(p.a)
     middle = x0 * x0
     apex = 0.5 * (total - middle)
+    b2 = p.b * p.b
+    # no section exceeds the total, so checking the total checks them all
+    _no_overflow(total * b2, "area_decomposition", p)
     # at the fixed point the symmetric limits coincide: the rectangle is the
     # middle square itself and no area is left between the limits
-    return AreaDecomposition(total=total, middle_square=middle, apex=apex,
-                             rectangle=middle, between_limits=0.0)
+    return AreaDecomposition(total=total * b2, middle_square=middle * b2, apex=apex * b2,
+                             rectangle=middle * b2, between_limits=0.0)
 
 
 def area_ratio_r(a: float) -> float:

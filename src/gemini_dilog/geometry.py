@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import find_root, integrate
-from .gemini import GeminiParams, value
+from .gemini import GeminiParams, _no_overflow, value
 from .polylog import gamma_fn, li3_real, zeta3, zeta_fn
 
 __all__ = [
@@ -45,7 +45,11 @@ class GeminoidProfile:
 
 def geminoid_volume(p: GeminiParams) -> float:
     """V = 2*pi*b^3*[zeta(3) - Li3(-a)]."""
-    return 2.0 * math.pi * p.b ** 3 * (zeta3() - li3_real(-p.a))
+    try:
+        b3 = p.b ** 3
+    except OverflowError:  # float ** raises where float * gives inf
+        b3 = math.inf
+    return _no_overflow(2.0 * math.pi * b3 * (zeta3() - li3_real(-p.a)), "geminoid_volume", p)
 
 
 def geminoid_volume_quad(p: GeminiParams, tol: float = 1e-9) -> float:

@@ -276,7 +276,10 @@ def li2_unit_circle(p: int, q: int) -> complex:
         raise ValueError("q must be nonzero")
     if q < 0:
         p, q = -p, -q
-    theta = math.pi * (p % (2 * q)) / q
+    r = p % (2 * q)
+    # pi * r overflows, or q has no float, for q near 2^1024; the int ratio
+    # r / q rounds once and is in [0, 2)
+    theta = math.pi * r / q if q < 2 ** 1000 else math.pi * (r / q)
     re = PI2_6 - (2.0 * math.pi * theta - theta * theta) / 4.0
     return complex(re, clausen_cl2(theta))
 

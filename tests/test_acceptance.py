@@ -112,7 +112,7 @@ def test_criterion_6_quadrature_vs_closed_form():
             p = GeminiParams(a)
             q = integrate(lambda x: gemini.value(p, x), 0.0, math.inf, 1e-10)
             assert abs(gemini.total_area(p) - q) < 1e-7
-            d = gemini.area_decomposition(a)
+            d = gemini.area_decomposition(p)
             x0 = gemini.fixed_point(a)
             tail = integrate(lambda x: gemini.value(p, x), x0, math.inf, 1e-10)
             assert abs(d.apex - tail) < 1e-7

@@ -146,6 +146,14 @@ class TestVerifyAll:
         with pytest.raises(ValueError, match="unknown entry id: g02-five-term in group G1"):
             verify_all(group="G1", entry_id="g02-five-term")
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_tol_outside_the_positive_reals_raises(self, tol):
+        # a tol no residual can meet is a usage error, not a failed entry
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_entry(catalog_entry("g03-reflection"), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_all(entry_id="g03-reflection", tol=tol)
+
     def test_id_filter(self):
         reports = verify_all(entry_id="g02-five-term")
         assert [r.id for r in reports] == ["g02-five-term"]

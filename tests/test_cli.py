@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemini_dilog import cli
 
@@ -57,6 +61,11 @@ class TestEval:
             run_cli(capsys, "eval", "li9", "1")
         assert exc.value.code == 2
 
+    def test_unit_circle_q_beyond_binary64(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "unit-circle", "3" + "0" * 320, "1" + "0" * 321)
+        assert code == 0
+        assert out == run_cli(capsys, "eval", "unit-circle", "3", "10")[1]
+
     def test_trigamma_overflow_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "eval", "trigamma", "5e-324")
@@ -69,6 +78,19 @@ class TestEval:
             run_cli(capsys, "eval", "li2", "one")
         assert exc.value.code == 2
         assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "li2", "-1e-3"], ["eval", "li2c", "0.5", "-2e-1"], ["area", "-5e-1"],
+    ["median", "-5E-1"],
+])
+def test_negative_scientific_notation_is_a_number(capsys, argv):
+    # argparse before Python 3.13 reads -1e-3 as an option; after -- it is
+    # always an argument
+    code, out, _ = run_cli(capsys, *argv)
+    first = next(i for i, arg in enumerate(argv) if arg.startswith("-"))
+    assert (code, out) == run_cli(capsys, *argv[:first], "--", *argv[first:])[:2]
+    assert out
 
 
 def test_python_dash_m_runs_main():
@@ -251,6 +273,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "gemini-dilog: error: unknown entry id: nope"
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_tol_outside_the_positive_reals_is_a_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--id", "g03-reflection", "--tol", tol)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "gemini-dilog: error: tol must be positive and finite, got ")
+
     def test_byte_identical_reruns(self, capsys):
         _, a, _ = run_cli(capsys, "verify", "--group", "G2", "--seed", "5")
         _, b, _ = run_cli(capsys, "verify", "--group", "G2", "--seed", "5")
@@ -306,6 +336,20 @@ class TestGeometryCommands:
         assert exc.value.code == 2
         assert "a=nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["area", "1", "--b", "1e200"],
+         "area_decomposition(GeminiParams(a=1.0, b=1e+200)) overflows binary64"),
+        (["volume", "1", "--b", "1e200"],
+         "geminoid_volume(GeminiParams(a=1.0, b=1e+200)) overflows binary64"),
+        (["area", "1", "--b", "nan"], "gemini parameters must be finite, got a=1.0, b=nan"),
+        (["area", "1", "--b", "-2"], "scale factor must be positive"),
+    ])
+    def test_bad_or_overflowing_scale_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"gemini-dilog: error: {message}"
+
     def test_invalid_shape_factor(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "area", "-2")
@@ -348,3 +392,38 @@ class TestPlotData:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "plot-data", "spiral")
         assert exc.value.code == 2
+
+
+# argv fuzz: floats print with repr, so nan, inf, subnormals, +-1.7e308 and
+# forms like -1e-05 reach the parser; unit-circle takes ints up to 10^400
+_NUMBER = st.floats().map(repr)
+_ARGV = st.one_of(
+    st.tuples(st.just("eval"), st.sampled_from(["li2", "li3", "chi2", "cl2", "trigamma"]),
+              _NUMBER),
+    st.tuples(st.just("eval"), st.just("li2c"), _NUMBER, _NUMBER),
+    st.tuples(st.just("eval"), st.just("unit-circle"),
+              *[st.integers(-10 ** 400, 10 ** 400).map(str)] * 2),
+    st.tuples(st.sampled_from(["area", "volume", "median", "moment"]), _NUMBER),
+    st.tuples(st.sampled_from(["area", "volume"]), _NUMBER, st.just("--b"), _NUMBER),
+    st.tuples(st.just("verify"), st.just("--id"), st.just("g03-reflection"), st.just("--tol"),
+              _NUMBER),
+).map(list)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_ARGV)
+def test_argv_fuzz_exit_codes_and_finite_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # usage errors; any other exception fails the test
+            code = exc.code
+    text = out.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        # only a verification failure, and a tol outside (0, inf) is a usage error
+        assert argv[0] == "verify" and text.splitlines()[-1].endswith(" 1 fail")
+        assert 0.0 < float(argv[-1]) < math.inf
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text

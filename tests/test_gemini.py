@@ -95,6 +95,26 @@ class TestAntiderivative:
                                                                       abs=1e-15)
 
 
+class TestOverflow:
+    # a result scaled by b that overflows binary64 is a ValueError, not inf
+    @pytest.mark.parametrize("fn, args", [
+        (gemini.value, (GeminiParams(1.0, 1e307), 1.0)),
+        (gemini.antiderivative, (GeminiParams(1.0, 1e200), 1.0)),
+        (gemini.area_between, (GeminiParams(1.0, 1e200), 1.0, 2.0)),
+        (gemini.total_area, (GeminiParams(1.0, 1e200),)),
+        (gemini.area_decomposition, (GeminiParams(1.0, 1e200),)),
+    ], ids=["value", "antiderivative", "area_between", "total_area", "area_decomposition"])
+    def test_overflow_raises(self, fn, args):
+        with pytest.raises(ValueError, match="overflows binary64"):
+            fn(*args)
+
+    def test_largest_finite_scale(self):
+        # b^2 near DBL_MAX / A_tot still fits
+        p = GeminiParams(1.0, 1e153)
+        assert gemini.total_area(p) == pytest.approx(1e306 * math.pi ** 2 / 4.0, rel=1e-14)
+        assert gemini.area_decomposition(p).total == gemini.total_area(p)
+
+
 class TestFixedPoint:
     def test_on_curve(self):
         for a in SHAPE_FACTORS:
@@ -127,7 +147,7 @@ class TestFixedPoint:
 class TestAreaDecomposition:
     def test_parts_sum(self):
         for a in SHAPE_FACTORS:
-            d = gemini.area_decomposition(a)
+            d = gemini.area_decomposition(gemini.GeminiParams(a))
             assert d.middle_square + 2.0 * d.apex == pytest.approx(d.total,
                                                                    rel=1e-12)
             assert d.rectangle == d.middle_square
@@ -141,11 +161,11 @@ class TestAreaDecomposition:
             left = integrate(lambda x: gemini.value(p, x) - x0, 0.0, x0, 1e-10)
             right = integrate(lambda x: gemini.value(p, x), x0, math.inf, 1e-10)
             assert left == pytest.approx(right, abs=1e-9)
-            assert gemini.area_decomposition(a).apex == pytest.approx(
+            assert gemini.area_decomposition(p).apex == pytest.approx(
                 right, abs=1e-9)
 
     def test_area_ratio_r(self):
-        d = gemini.area_decomposition(1.0)
+        d = gemini.area_decomposition(gemini.GeminiParams(1.0))
         assert gemini.area_ratio_r(1.0) == pytest.approx(
             d.total / d.middle_square, rel=1e-13)
 

@@ -41,6 +41,13 @@ class TestVolumes:
         v3 = geometry.geminoid_volume(GeminiParams(1.0, 3.0))
         assert v3 == pytest.approx(27.0 * v1, rel=1e-14)
 
+    def test_overflow_raises(self):
+        # b ** 3 raises OverflowError at b = 1e200; at b = 5e102 b^3 fits and
+        # 2 pi b^3 does not; either way the contract is a ValueError
+        for b in (1e200, 5e102):
+            with pytest.raises(ValueError, match=r"geminoid_volume\(.*\) overflows binary64"):
+                geometry.geminoid_volume(GeminiParams(1.0, b))
+
     def test_quadrature_agrees(self):
         for a in (-0.5, 0.0, 1.0):
             p = GeminiParams(a)

@@ -184,6 +184,17 @@ class TestUnitCircle:
     def test_whole_turns_exact(self, p, q):
         assert polylog.li2_unit_circle(p, q) == complex(PI2 / 6.0, 0.0)
 
+    def test_q_beyond_binary64(self):
+        # theta = pi p / q with p, q past DBL_MAX is still an angle in [0, 2 pi)
+        big = 10 ** 320
+        tiny = polylog.li2_unit_circle(1, big)
+        assert tiny.real == PI2 / 6.0
+        assert tiny.imag == pytest.approx(math.pi * 1e-320 * (1.0 - math.log(math.pi * 1e-320)),
+                                          rel=1e-3)  # subnormal: ~10 significant bits
+        ref = mp_li2(mpmath.expjpi(mpmath.mpf(3) / 10))
+        for p, q in [(3 * big, 10 * big), (-17 * big, 10 * big), (3 * 10 ** 307, 10 ** 308)]:
+            assert abs(polylog.li2_unit_circle(p, q) - ref) < 2e-15
+
     @pytest.mark.parametrize("p,q", [(45, 2), (-45, 2), (1, -3), (25, 12), (-23, 12)])
     def test_many_turns_and_negative_q(self, p, q):
         ref = mp_li2(mpmath.expjpi(mpmath.mpf(p) / q))
