@@ -1,4 +1,10 @@
-"""Quadrature, bracketed root finding and the named-constant registry."""
+"""Quadrature, bracketed root finding and the named-constant registry.
+
+Error contract: every public function returns a finite float, or raises
+ValueError (BracketError is one) for arguments outside its domain or a result
+beyond binary64, or AccuracyError when the numerics miss their tolerance.
+No other exception escapes, except one that a caller's f raises in find_root.
+"""
 
 from __future__ import annotations
 
@@ -140,14 +146,19 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             return xcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's division by zero leaves stry inf or nan, which fails the
+                # step test below, so brentq.c bisects
+                stry = math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 # good short step
                 spre = scur
@@ -197,23 +208,36 @@ def solve_nstep(N: int, sign: str) -> float:
         raise ValueError("N must be >= 2")
     if sign == "minus":
         f = lambda x: x ** (N + 1) - 2.0 * x ** N + 1.0
-        return find_root(f, 1.5, 2.0)
-    if sign == "plus":
+        lo, hi = 1.5, 2.0
+    elif sign == "plus":
         f = lambda x: x ** (N + 1) - 2.0 * x ** N - 1.0
-        return find_root(f, 2.0, 3.0)
-    raise ValueError("sign must be 'plus' or 'minus'")
+        lo, hi = 2.0, 3.0
+    else:
+        raise ValueError("sign must be 'plus' or 'minus'")
+    try:
+        return find_root(f, lo, hi)
+    except OverflowError:  # hi^(N+1) overflows above N = 1022 ('minus') or 645 ('plus')
+        raise ValueError(f"solve_nstep({N!r}, {sign!r}): x^(N+1) overflows binary64") from None
 
 
 @dataclass(frozen=True)
 class NamedConstant:
-    """A constant defined by an algebraic or transcendental equation."""
+    """A constant defined by an algebraic or transcendental equation.
+
+    ``bracket`` defaults to ``reference_value`` +/- 1/2.
+    """
 
     id: str
     defining_equation: str
     fn: Callable[[float], float]
-    bracket: tuple
-    reference_value: Optional[float]
+    reference_value: float
     provenance: str  # "PAPER" | "DERIVED"
+    bracket: Optional[tuple] = None
+
+    def __post_init__(self) -> None:
+        if self.bracket is None:
+            ref = self.reference_value
+            object.__setattr__(self, "bracket", (ref - 0.5, ref + 0.5))
 
 
 def _fixed_pt_ln(a: float) -> float:
@@ -254,74 +278,62 @@ _TABLE1_A = {2: 3.531384, 3: 7.900377, 4: 14.759176, 5: 24.941163, 6: 39.482044,
 
 def _build_table() -> Sequence[NamedConstant]:
     rows = [
-        NamedConstant("phi", "x^2 - x - 1 = 0", lambda x: x * x - x - 1.0,
-                      (1.118034, 2.118034), 1.618034, "PAPER"),
+        NamedConstant("phi", "x^2 - x - 1 = 0", lambda x: x * x - x - 1.0, 1.618034, "PAPER"),
         NamedConstant("plastic", "x^3 - x - 1 = 0", lambda x: x ** 3 - x - 1.0,
-                      (0.824718, 1.824718), 1.324718, "PAPER"),
+                      1.324718, "PAPER"),
         NamedConstant("supergolden", "x^3 - x^2 - 1 = 0", lambda x: x ** 3 - x * x - 1.0,
-                      (0.965571, 1.965571), 1.465571, "PAPER"),
+                      1.465571, "PAPER"),
         NamedConstant("theta1", "x^4 - x^3 - 1 = 0", lambda x: x ** 4 - x ** 3 - 1.0,
-                      (1.05, 1.9), 1.380278, "DERIVED"),
-        NamedConstant("a4", "x^4 - x - 1 = 0", lambda x: x ** 4 - x - 1.0,
-                      (0.720744, 1.720744), 1.220744, "PAPER"),
+                      1.380278, "DERIVED"),
+        NamedConstant("a4", "x^4 - x - 1 = 0", lambda x: x ** 4 - x - 1.0, 1.220744, "PAPER"),
         NamedConstant("tribonacci", "x^3 - x^2 - x - 1 = 0",
-                      lambda x: x ** 3 - x * x - x - 1.0,
-                      (1.339287, 2.339287), 1.839287, "PAPER"),
+                      lambda x: x ** 3 - x * x - x - 1.0, 1.839287, "PAPER"),
         NamedConstant("k0", "x^(sqrt2+1) - x^sqrt2 - 1 = 0",
-                      lambda x: x ** (_SQRT2 + 1.0) - x ** _SQRT2 - 1.0,
-                      (1.042007, 2.042007), 1.542007, "PAPER"),
+                      lambda x: x ** (_SQRT2 + 1.0) - x ** _SQRT2 - 1.0, 1.542007, "PAPER"),
         NamedConstant("addinacci_super_fixed_point", "x = 1 + sqrt(1 + 1/x^x)",
-                      lambda x: x - 1.0 - math.sqrt(1.0 + x ** (-x)),
-                      (1.600211, 2.600211), 2.100211, "PAPER"),
+                      lambda x: x - 1.0 - math.sqrt(1.0 + x ** (-x)), 2.100211, "PAPER"),
+        # reference +/- 1/2 would land the root 1 ulp off the correctly rounded value
         NamedConstant("addinacci_2", "x^3 - 2x^2 - 1 = 0",
-                      lambda x: x ** 3 - 2.0 * x * x - 1.0,
-                      (2.0, 3.0), 2.205569, "DERIVED"),
-        NamedConstant("infinacci", "x - 2 = 0", lambda x: x - 2.0, (1.5, 2.5), 2.0, "PAPER"),
+                      lambda x: x ** 3 - 2.0 * x * x - 1.0, 2.205569, "DERIVED", (2.0, 3.0)),
+        NamedConstant("infinacci", "x - 2 = 0", lambda x: x - 2.0, 2.0, "PAPER"),
         NamedConstant("a_c", "Li2(-a) = pi^2/6 - 3 ln^2(1+sqrt(1+a))",
                       lambda a: li2_re(-a) - PI2_6 + 3.0 * _fixed_pt_ln(a) ** 2,
-                      (2.082815, 3.082815), 2.582815, "PAPER"),
+                      2.582815, "PAPER"),
         NamedConstant("laplace_limit", "ln((1+sqrt(1+x^2))/x) = sqrt(1+x^2)",
-                      _laplace_limit_residual,
-                      (0.162743, 1.162743), 0.662743, "PAPER"),
+                      _laplace_limit_residual, 0.662743, "PAPER"),
         NamedConstant("C_CFP", "coth(x) - x = 0",
-                      lambda x: math.cosh(x) / math.sinh(x) - x,
-                      (0.699678, 1.699678), 1.199678, "PAPER"),
+                      lambda x: math.cosh(x) / math.sinh(x) - x, 1.199678, "PAPER"),
         NamedConstant("magic_angle", "tan(x) = sqrt(2)",
-                      lambda x: math.tan(x) - _SQRT2,
-                      (0.5, 1.5), math.atan(_SQRT2), "DERIVED"),
+                      lambda x: math.tan(x) - _SQRT2, math.atan(_SQRT2), "DERIVED"),
         NamedConstant("delta_s", "e^x = 1 + sqrt(2)",
-                      lambda x: math.exp(x) - 1.0 - _SQRT2,
-                      (0.4, 1.4), math.log(1.0 + _SQRT2), "PAPER"),
+                      lambda x: math.exp(x) - 1.0 - _SQRT2, math.log(1.0 + _SQRT2), "PAPER"),
         NamedConstant("median_n1", "Li2(1/a) + Li2(-a)/2 = 0",
-                      lambda a: li2_re(1.0 / a) + 0.5 * li2_re(-a),
-                      (1.298533, 2.298533), 1.798533, "PAPER"),
+                      lambda a: li2_re(1.0 / a) + 0.5 * li2_re(-a), 1.798533, "PAPER"),
         NamedConstant("median_n2", "chi2(1/m^2) = ln^2(m)/2",
                       lambda m: chi2(1.0 / (m * m)) - 0.5 * math.log(m) ** 2,
-                      (1.519283, 2.519283), 2.019283, "PAPER"),
+                      2.019283, "PAPER"),
         NamedConstant("median_n3", "median of gemini_{m^3} equals ln(m)",
-                      lambda m: _median_residual_pow(m, 3),
-                      (2.405862, 3.405862), 2.905862, "PAPER"),
+                      lambda m: _median_residual_pow(m, 3), 2.905862, "PAPER"),
         NamedConstant("a_no_pi2", "Li2(-a) = -pi^2/6",
-                      lambda a: li2_re(-a) + PI2_6,
-                      (1.893308, 2.893308), 2.393308, "PAPER"),
+                      lambda a: li2_re(-a) + PI2_6, 2.393308, "PAPER"),
+        # reference - 1/2 lies outside these two residuals' domains, p > 1 and a > -1
         NamedConstant("p_median_zero",
                       "Li2(1/p) = pi^2/4 - ln^2(sqrt(p-1)) - ln(p) ln(sqrt(p)/(p-1))",
                       lambda p: li2_re(1.0 / p) - math.pi ** 2 / 4.0
                       + math.log(math.sqrt(p - 1.0)) ** 2
                       + math.log(p) * math.log(math.sqrt(p) / (p - 1.0)),
-                      (1.01, 1.641080), 1.141080, "PAPER"),
+                      1.141080, "PAPER", (1.01, 1.641080)),
         NamedConstant("a_crit_p2",
                       "Li2(-a) = pi^2/6 - ((a+2)/(2a)) ln(a+1)",
                       lambda a: li2_re(-a) - PI2_6
                       + (a + 2.0) / (2.0 * a) * math.log(a + 1.0),
-                      (-0.9, -0.1), -0.514091, "PAPER"),
+                      -0.514091, "PAPER", (-0.9, -0.1)),
     ]
     for n, aval in _TABLE1_A.items():
         rows.append(NamedConstant(
             f"inverse_pair_a_n{n}",
             f"Li2(-a) = -((2n-1)/(n+1)) pi^2/6 - (n/(n+1)) ln^2(a)/2, n={n}",
-            (lambda a, _n=n: _inverse_pair_residual(a, _n)),
-            (aval - 0.5, aval + 0.5), aval, "PAPER"))
+            (lambda a, _n=n: _inverse_pair_residual(a, _n)), aval, "PAPER"))
     return tuple(rows)
 
 

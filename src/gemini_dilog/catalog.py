@@ -365,7 +365,6 @@ def _li2_eipi5_closed() -> complex:
 
 def _E(
     eid: str,
-    group: str,
     section: str,
     quote: str,
     fn: Callable[..., complex],
@@ -379,7 +378,7 @@ def _E(
         kind = "parametric" if params else "closed_form"
     return IdentityEntry(
         id=eid,
-        group=group,
+        group=f"G{int(eid[1:3])}",  # "g07-..." is in group G7
         kind=kind,
         residual=fn,
         anchor=Anchor(section=section, quote=quote),
@@ -396,51 +395,48 @@ def _g1() -> list:
         return complex(q - PI2 / 4.0)
 
     return [
-        _E("g01-fundamental-integral", "G1", "1", "integral of the fundamental form",
+        _E("g01-fundamental-integral", "1", "integral of the fundamental form",
            fundamental_integral, tol=1e-8),
-        _E("g01-total-area", "G1", "1", "bounded by the fundamental form",
+        _E("g01-total-area", "1", "bounded by the fundamental form",
            lambda: complex(total_area(GeminiParams(1.0)) - PI2 / 4.0)),
     ]
 
 
 def _g2() -> list:
     return [
-        _E("g02-five-term", "G2", "2.1", "final form of the five-term gemini-identity",
-           _five_term,
+        _E("g02-five-term", "2.1", "final form of the five-term gemini-identity", _five_term,
            params=(
                ParamSpec("a", -1.0, 20.0, "log", 32, edges=(-1.0, -0.999)),
                ParamSpec("x", 1.001, 50.0, "log", 32),
            )),
-        _E("g02-fixed-point-1", "G2", "2.1", "first fixed-point gemini identity",
-           _fixed_point_1,
+        _E("g02-fixed-point-1", "2.1", "first fixed-point gemini identity", _fixed_point_1,
            params=(ParamSpec("a", -1.0, 50.0, "log", 32, edges=(-1.0,)),)),
-        _E("g02-fixed-point-2", "G2", "2.2", "we need to express the shape factor",
-           _fixed_point_2,
+        _E("g02-fixed-point-2", "2.2", "we need to express the shape factor", _fixed_point_2,
            params=(ParamSpec("x", 1.001, 50.0, "log", 32),)),
     ]
 
 
 def _g3() -> list:
     return [
-        _E("g03-reflection", "G3", "2.3", "setting the shape factor $a$ equal",
+        _E("g03-reflection", "2.3", "setting the shape factor $a$ equal",
            lambda x: L(1.0 / x) + L(1.0 - 1.0 / x) - PI2_6 + ln(x) * ln(x / (x - 1.0)),
            params=(ParamSpec("x", 1.001, 1e3, "log", 48),)),
-        _E("g03-inversion", "G3", "2.4", "based on two equal integrals",
+        _E("g03-inversion", "2.4", "based on two equal integrals",
            lambda x: L(-x) + L(-1.0 / x) + PI2_6 + 0.5 * ln(x) ** 2,
            params=(ParamSpec("x", 1.001, 1e3, "log", 48),)),
-        _E("g03-landen", "G3", "2.5", "based on the equal segment areas",
+        _E("g03-landen", "2.5", "based on the equal segment areas",
            lambda x: L(1.0 / (1.0 + x)) - L(-x) - PI2_6
            + 0.5 * ln(1.0 + x) * ln((1.0 + x) / (x * x)),
            params=(ParamSpec("x", 1e-3, 1e3, "log", 48),)),
-        _E("g03-duplication", "G3", "2.6", "is simply the duplication identity",
+        _E("g03-duplication", "2.6", "is simply the duplication identity",
            lambda x: L(1.0 / x) + L(-1.0 / x) - 0.5 * L(1.0 / (x * x)),
            params=(ParamSpec("x", 1.001, 1e3, "log", 48),)),
-        _E("g03-cancellation-a", "G3", "2.7", "following new three-term identity",
+        _E("g03-cancellation-a", "2.7", "following new three-term identity",
            lambda a: L((a - 1.0) / (a * a)) + L(1.0 / (a * a - a + 1.0))
            - L(a / (a * a - a + 1.0))
            + ln(a / (a - 1.0)) * ln(a * a / (a * a - a + 1.0)),
            params=(ParamSpec("a", 1.001, 1e3, "log", 48),)),
-        _E("g03-cancellation-b", "G3", "2.7", "relation such that",
+        _E("g03-cancellation-b", "2.7", "relation such that",
            lambda a: L(a / (a + 1.0) ** 2) + L(1.0 / (a * a + a + 1.0))
            - L((a + 1.0) / (a * a + a + 1.0))
            + ln((a + 1.0) / a) * ln((a + 1.0) ** 2 / (a * a + a + 1.0)),
@@ -453,35 +449,33 @@ def _g4() -> list:
     r35 = math.sqrt((PHI * PHI + 2.0) / PHI ** 3)
     r35b = math.sqrt((PHI * PHI + 2.0) / PHI)
     entries = [
-        _E("g04-li2-half", "G4", "2.3", "eighth known exact real values",
+        _E("g04-li2-half", "2.3", "eighth known exact real values",
            lambda: L(0.5) - (PI2_12 - 0.5 * LN2 ** 2)),
-        _E("g04-li2-zero", "G4", "2.3", "eighth known exact real values", lambda: L(0.0)),
-        _E("g04-li2-one", "G4", "2.3", "eighth known exact real values",
-           lambda: L(1.0) - PI2_6),
-        _E("g04-li2-minus-one", "G4", "2.3", "eighth known exact real values",
-           lambda: L(-1.0) + PI2_12),
-        _E("g04-li2-minus-inv-phi", "G4", "2.3", "eighth known exact real values",
+        _E("g04-li2-zero", "2.3", "eighth known exact real values", lambda: L(0.0)),
+        _E("g04-li2-one", "2.3", "eighth known exact real values", lambda: L(1.0) - PI2_6),
+        _E("g04-li2-minus-one", "2.3", "eighth known exact real values", lambda: L(-1.0) + PI2_12),
+        _E("g04-li2-minus-inv-phi", "2.3", "eighth known exact real values",
            lambda: L(-1.0 / PHI) - (-PI2 / 15.0 + 0.5 * LPHI ** 2)),
-        _E("g04-li2-inv-phi", "G4", "2.3", "eighth known exact real values",
+        _E("g04-li2-inv-phi", "2.3", "eighth known exact real values",
            lambda: L(1.0 / PHI) - (PI2 / 10.0 - LPHI ** 2)),
-        _E("g04-li2-inv-phi2", "G4", "2.3", "eighth known exact real values",
+        _E("g04-li2-inv-phi2", "2.3", "eighth known exact real values",
            lambda: L(1.0 / PHI ** 2) - (PI2 / 15.0 - LPHI ** 2)),
-        _E("g04-li2-minus-phi", "G4", "2.3", "eighth known exact real values",
+        _E("g04-li2-minus-phi", "2.3", "eighth known exact real values",
            lambda: L(-PHI) - (-PI2 / 10.0 - LPHI ** 2)),
-        _E("g04-inv-phi2-instance", "G4", "3.1", "the respective evaluation is given by",
+        _E("g04-inv-phi2-instance", "3.1", "the respective evaluation is given by",
            lambda: _five_term(PHI * PHI, PHI)),
-        _E("g04-chi2-phi3", "G4", "3.2", "the Legendre's chi-function",
+        _E("g04-chi2-phi3", "3.2", "the Legendre's chi-function",
            lambda: complex(chi2(PHI ** -3) - (PI2 / 24.0 - 0.75 * LPHI ** 2))),
-        _E("g04-chi2-phi3-gemini", "G4", "3.2", "verify the statement introduced in",
+        _E("g04-chi2-phi3-gemini", "3.2", "verify the statement introduced in",
            lambda: _five_term(PHI ** 3, PHI ** 2)),
-        _E("g04-chi2-silver", "G4", "3.3", "by a number of authors",
+        _E("g04-chi2-silver", "3.3", "by a number of authors",
            lambda: complex(chi2(SQ2 - 1.0)
                            - (PI2 / 16.0 - 0.25 * ln(SQ2 + 1.0) ** 2))),
-        _E("g04-sqrt2-relation", "G4", "3.4", "an old and well known result",
+        _E("g04-sqrt2-relation", "3.4", "an old and well known result",
            lambda: L(1.0 / SQ2) - L(SQ2 - 1.0)
            - (PI2 / 24.0 - 0.125 * LN2 ** 2
               + 0.5 * ln(1.0 + SQ2) * ln((SQ2 + 1.0) / 2.0))),
-        _E("g04-six-silver", "G4", "3.5", "might be a new one",
+        _E("g04-six-silver", "3.5", "might be a new one",
            lambda: 6.0 * L(SQ2 - 1.0) + L((2.0 - SQ2) / 4.0)
            - (11.0 * PI2 / 24.0 - 0.375 * LN2 ** 2
               - ln(3.0 - 2.0 * SQ2) * ln(2.0 * SQ2 - 2.0)
@@ -489,7 +483,7 @@ def _g4() -> list:
               - 1.5 * LN2 * ln(2.0 + SQ2)
               + ln(SQ2 + 1.0) * (0.5 * LN2 + ln(2.0 + SQ2))),
            expected="flagged"),
-        _E("g04-sqrt-phi", "G4", "3.6", "After a workable algebra",
+        _E("g04-sqrt-phi", "3.6", "After a workable algebra",
            lambda: L((1.0 + math.sqrt(PHI)) / PHI ** 2)
            + L(PHI ** 3 - PHI ** 2 * math.sqrt(PHI))
            - 17.0 * PI2 / 60.0 + 11.0 / 8.0 * LPHI ** 2
@@ -499,36 +493,35 @@ def _g4() -> list:
            * ln(math.sqrt(PHI ** 6 + PHI ** 5 * math.sqrt(PHI)
                           + PHI ** 4 + 2.0 * PHI ** 3 * math.sqrt(PHI))),
            expected="flagged"),
-        _E("g04-phi-pair-1", "G4", "3.7", "Let the second term be",
+        _E("g04-phi-pair-1", "3.7", "Let the second term be",
            lambda: L((math.sqrt(PHI ** 7 + 3.0 * PHI ** 5) - PHI ** 2 - 3.0 * PHI) / 2.0)
            - L((1.0 + math.sqrt(4.0 * PHI - 3.0)) / (2.0 * PHI))
            + PI2 / 10.0 - LPHI ** 2
            + ln((PHI ** 2 + 1.0 + math.sqrt(4.0 * PHI ** 3 - 3.0 * PHI ** 2)) / 2.0)
            * ln((2.0 * PHI - 1.0 + math.sqrt(4.0 * PHI - 3.0)) / (2.0 * PHI))),
-        _E("g04-phi-pair-2", "G4", "3.8", "we choose the negative root",
+        _E("g04-phi-pair-2", "3.8", "we choose the negative root",
            lambda: L(0.5 * PHI - 0.5 * r35) - L(1.0 / (2.0 * PHI ** 2) - 0.5 * r35)
            - PI2 / 10.0 - LPHI ** 2
            - 2.0 * LPHI * ln(-1.0 / (2.0 * PHI) + 0.5 * r35b)),
-        _E("g04-phi-pair-3", "G4", "3.9", "third two-term identity with the aid",
+        _E("g04-phi-pair-3", "3.9", "third two-term identity with the aid",
            lambda: L(0.5 * math.sqrt(PHI ** 2 + 3.0 * PHI)
                      - (PHI ** 2 + 1.0) / (2.0 * PHI))
            - L(1.0 / (2.0 * PHI ** 2) + 0.5 * r35)
            + PI2 / 15.0 - LPHI ** 2
            + ln(PHI ** 2 / 2.0 + 0.5 * r35b) * ln(0.5 * PHI + 0.5 * r35)),
-        _E("g04-khoi", "G4", "3.10", "A remarkable result due to Khoi",
+        _E("g04-khoi", "3.10", "A remarkable result due to Khoi",
            lambda: L(1.0 - 1.0 / math.sqrt(PHI)) - L(1.0 / s)
            - (-PI2 / 20.0 - 0.5 * LPHI ** 2 + 0.5 * ln(s) ** 2)),
-        _E("g04-fibonacci", "G4", "3.11", "expressed with the Binet's formula",
-           _fibonacci_pair,
+        _E("g04-fibonacci", "3.11", "expressed with the Binet's formula", _fibonacci_pair,
            params=(ParamSpec("n", 1, 8, "integer"),)),
-        _E("g04-fibonacci-limit", "G4", "3.11", "expressed with the Binet's formula",
+        _E("g04-fibonacci-limit", "3.11", "expressed with the Binet's formula",
            lambda: L(PHI / SQ5) + L(1.0 / (SQ5 * PHI)) - PI2_6
            + ln(PHI / SQ5) * ln(1.0 / (SQ5 * PHI)),
            kind="limit"),
-        _E("g04-phi2-plus-1", "G4", "3.12", "exactly the same result",
+        _E("g04-phi2-plus-1", "3.12", "exactly the same result",
            lambda: L(-1.0 / PHI ** 2) + L((PHI ** 2 + 1.0) / (5.0 * PHI ** 2))
            + 0.5 * ln((PHI ** 2 + 1.0) / PHI ** 2) ** 2),
-        _E("g04-four-term", "G4", "3.13", "outcome is a four-term identity",
+        _E("g04-four-term", "3.13", "outcome is a four-term identity",
            lambda: 2.0 * L(1.0 / (PHI * SQ5)) - L(SQ5 / PHI ** 2)
            + PI2 / 30.0 + 0.125 * ln(5.0) ** 2
            + 0.5 * LPHI * ln(125.0 / PHI ** 7)
@@ -540,17 +533,17 @@ def _g4() -> list:
 
 def _g5() -> list:
     return [
-        _E("g05-ramanujan-1", "G5", "4.1", "evaluations from Ramanujan",
+        _E("g05-ramanujan-1", "4.1", "evaluations from Ramanujan",
            lambda: L(-0.5) + L(1.0 / 9.0) / 6.0
            - (-PI2 / 18.0 + LN2 * LN3 - 0.5 * LN2 ** 2 - LN3 ** 2 / 3.0)),
         # the printed constant is short one factor ln(2)ln(3); measured, not fixed
-        _E("g05-ramanujan-2", "G5", "4.1", "evaluations from Ramanujan",
+        _E("g05-ramanujan-2", "4.1", "evaluations from Ramanujan",
            lambda: L(0.25) + L(1.0 / 9.0) / 3.0
            - (PI2 / 18.0 - 2.0 * LN2 ** 2 + LN2 * LN3 - 2.0 * LN3 ** 2 / 3.0),
            expected="flagged"),
-        _E("g05-ramanujan-3", "G5", "4.1", "evaluations from Ramanujan",
+        _E("g05-ramanujan-3", "4.1", "evaluations from Ramanujan",
            lambda: L(-0.125) + L(1.0 / 9.0) + 0.5 * ln(9.0 / 8.0) ** 2),
-        _E("g05-two-term", "G5", "4.1", "a very simple two-term identity",
+        _E("g05-two-term", "4.1", "a very simple two-term identity",
            lambda: L(1.0 / 3.0) + 0.5 * L(-3.0) + 0.5 * LN3 ** 2),
     ]
 
@@ -577,19 +570,19 @@ def _g6() -> list:
         ("id10", lambda: L(x) - 0.25 * L(-4.0 * PHI ** 3) - PI2_12 + 0.75 * LPHI ** 2
          - 3.0 * LN2 * LPHI),
     ]
-    entries = [_E(f"g06-{name}", "G6", "4.2", q, fn) for name, fn in rows]
+    entries = [_E(f"g06-{name}", "4.2", q, fn) for name, fn in rows]
     entries += [
-        _E("g06-two-phi", "G6", "4.2", "nice and simple formula below",
+        _E("g06-two-phi", "4.2", "nice and simple formula below",
            lambda: L(2.0 / PHI ** 2) + L(-2.0 * PHI) + 4.5 * LPHI ** 2),
-        _E("g06-phi-half", "G6", "4.2", "derive the connection between",
+        _E("g06-phi-half", "4.2", "derive the connection between",
            lambda: L(PHI / 2.0) + L(0.5 / PHI ** 2) - PI2_6
            + ln(PHI / 2.0) * ln(0.5 / PHI ** 2)),
-        _E("g06-mutual", "G6", "4.2", "derive their mutual connection",
+        _E("g06-mutual", "4.2", "derive their mutual connection",
            lambda: L(0.5 / PHI ** 2) - L(2.0 / PHI ** 2) + PI2_12 + 0.5 * LN2 ** 2
            - 2.0 * LPHI * ln(PHI ** 2 / 2.0)),
-        _E("g06-limits", "G6", "4.2", "with the integration limits",
+        _E("g06-limits", "4.2", "with the integration limits",
            lambda: L(0.5 / PHI ** 2) - L(-0.5 / PHI) - PI2_12 + LPHI * LN2),
-        _E("g06-half-phi", "G6", "4.2", "also introduced in the paper of",
+        _E("g06-half-phi", "4.2", "also introduced in the paper of",
            lambda: L(0.5 * PHI) + L(-0.5 / PHI) - PI2_12 - 2.0 * LPHI ** 2 + LN2 ** 2),
     ]
     return entries
@@ -602,64 +595,62 @@ def _g7() -> list:
     A4 = _const("a4")
     lp, ls, lt, la = ln(P), ln(S), ln(T1), ln(A4)
     entries = [
-        _E("g07-plastic-semitrivial", "G7", "4.3", "can also be called a semi-trivial",
+        _E("g07-plastic-semitrivial", "4.3", "can also be called a semi-trivial",
            lambda: L(1.0 / P) + 0.5 * L(-1.0 / P) - PI2_12 + 2.0 * lp ** 2),
-        _E("g07-plastic-square", "G7", "4.3", "a similar kind of two term identity",
+        _E("g07-plastic-square", "4.3", "a similar kind of two term identity",
            lambda: L(1.0 / P) + 0.5 * L(P ** -2) - PI2_6 + 4.0 * lp ** 2),
-        _E("g07-plastic-t1", "G7", "4.3", "involving the plastic constant",
+        _E("g07-plastic-t1", "4.3", "involving the plastic constant",
            lambda: L(P - 1.0) - L(P ** -4)),
-        _E("g07-plastic-t2", "G7", "4.3", "involving the plastic constant",
+        _E("g07-plastic-t2", "4.3", "involving the plastic constant",
            lambda: L(P * P - 2.0) - L(-(P ** -5))),
-        _E("g07-plastic-t3", "G7", "4.3", "involving the plastic constant",
+        _E("g07-plastic-t3", "4.3", "involving the plastic constant",
            lambda: L(1.0 / P) - 0.5 * L(P ** -3) - PI2_12 + lp ** 2),
-        _E("g07-plastic-t4", "G7", "4.3", "involving the plastic constant",
+        _E("g07-plastic-t4", "4.3", "involving the plastic constant",
            lambda: L(1.0 / P) + L(P ** -5) - PI2_6 + 5.0 * lp ** 2),
-        _E("g07-plastic-t5", "G7", "4.3", "involving the plastic constant",
+        _E("g07-plastic-t5", "4.3", "involving the plastic constant",
            lambda: L(1.0 / P) - L(-(P ** -4)) - PI2_6 + 4.5 * lp ** 2),
-        _E("g07-plastic-pair", "G7", "4.3", "involving the plastic constant",
+        _E("g07-plastic-pair", "4.3", "involving the plastic constant",
            lambda: L(P ** -5) + L(-(P ** -4)) + 0.5 * lp ** 2),
-        _E("g07-plastic-ladder", "G7", "4.3", "Several ladders can be derived",
+        _E("g07-plastic-ladder", "4.3", "Several ladders can be derived",
            lambda: 2.0 * L(P ** -3) + 2.0 * L(P ** -4) + 2.0 * L(P ** -5)
            - L(P ** -8) - PI2 / 3.0 + 15.0 * lp ** 2),
-        _E("g07-super-ladder", "G7", "4.4", "derive a ladder by using",
+        _E("g07-super-ladder", "4.4", "derive a ladder by using",
            lambda: 4.0 * L(S ** -2) - 2.0 * L(S ** -3) + 4.0 * L(S ** -5)
            + L(S ** -6) - 2.0 * L(S ** -10) - PI2 / 3.0 + 8.0 * ls ** 2),
-        _E("g07-super-t1", "G7", "4.4", "derive a ladder by using",
-           lambda: L(S - 1.0) - L(S ** -2)),
-        _E("g07-super-t2", "G7", "4.4", "derive a ladder by using",
-           lambda: L(S * S - 2.0) - L(S ** -5)),
-        _E("g07-super-t3", "G7", "4.4", "derive a ladder by using",
+        _E("g07-super-t1", "4.4", "derive a ladder by using", lambda: L(S - 1.0) - L(S ** -2)),
+        _E("g07-super-t2", "4.4", "derive a ladder by using", lambda: L(S * S - 2.0) - L(S ** -5)),
+        _E("g07-super-t3", "4.4", "derive a ladder by using",
            lambda: L(1.0 / S) - L(-(S ** -2)) - PI2_6 + 2.5 * ls ** 2),
-        _E("g07-super-t4", "G7", "4.4", "derive a ladder by using",
+        _E("g07-super-t4", "4.4", "derive a ladder by using",
            lambda: L(1.0 / S) + L(S ** -3) - PI2_6 + 3.0 * ls ** 2),
-        _E("g07-super-c1", "G7", "4.4", "derive a ladder by using",
+        _E("g07-super-c1", "4.4", "derive a ladder by using",
            lambda: L(S ** -3) + L(-(S ** -2)) + 0.5 * ls ** 2),
-        _E("g07-super-c2", "G7", "4.4", "derive a ladder by using",
+        _E("g07-super-c2", "4.4", "derive a ladder by using",
            lambda: L(3.0 - 2.0 * S) + L(-0.5 * S ** -5)
            - ln(0.5 * S * S) * ln(3.0 * S ** 7 - 2.0 * S ** 8)
            + 0.5 * LN2 ** 2 - 2.0 * LN2 * ls + 2.0 * ls ** 2),
-        _E("g07-theta1-ladder", "G7", "4.5", "generate a six-term ladder",
+        _E("g07-theta1-ladder", "4.5", "generate a six-term ladder",
            lambda: 2.0 * L(1.0 / T1) + 2.0 * L(T1 ** -2) + L(T1 ** -4)
            - 2.0 * L(T1 ** -5) - 2.0 * L(T1 ** -7) + L(T1 ** -14)
            - PI2 / 3.0 + 2.0 * lt * ln(T1 * T1 + 1.0) + 45.0 * lt ** 2
            + ln(1.0 + T1 ** 7) * ln((1.0 + T1 ** 7) / T1 ** 14)
            - ln(T1 * T1 + 1.0) * ln((T1 * T1 + 1.0) / T1 ** 4)),
-        _E("g07-theta1-t1", "G7", "4.5", "generate a six-term ladder",
+        _E("g07-theta1-t1", "4.5", "generate a six-term ladder",
            lambda: L(T1 - 1.0) - L(T1 ** -3)),
-        _E("g07-theta1-t2", "G7", "4.5", "generate a six-term ladder",
+        _E("g07-theta1-t2", "4.5", "generate a six-term ladder",
            lambda: L(1.0 / T1) + L(T1 ** -4) - PI2_6 + 4.0 * lt ** 2),
-        _E("g07-theta1-t3", "G7", "4.5", "generate a six-term ladder",
+        _E("g07-theta1-t3", "4.5", "generate a six-term ladder",
            lambda: L(1.0 / T1) - L(-(T1 ** -3)) - PI2_6 + 3.5 * lt ** 2),
-        _E("g07-theta1-t4", "G7", "4.5", "generate a six-term ladder",
+        _E("g07-theta1-t4", "4.5", "generate a six-term ladder",
            lambda: L(T1 ** -4) + L(-(T1 ** -3)) + 0.5 * lt ** 2),
-        _E("g07-a4-ladder-1", "G7", "4.6", "without being a Pisot number",
+        _E("g07-a4-ladder-1", "4.6", "without being a Pisot number",
            lambda: 2.0 * L(1.0 / A4) + 4.0 * L(A4 ** -2) - 2.0 * L(A4 ** -3)
            - L(A4 ** -4) - 2.0 * L(A4 ** -5) + L(A4 ** -10)
            - PI2 / 3.0 + 21.0 * la ** 2
            + ln(A4 ** 5 + 1.0) * ln((A4 ** 5 + 1.0) / A4 ** 10)
            + 2.0 * la * ln(A4 * A4 + 1.0)
            - ln(A4 * A4 + 1.0) * ln((A4 * A4 + 1.0) / A4 ** 4)),
-        _E("g07-a4-ladder-2", "G7", "4.6", "has seven dilogarithm terms",
+        _E("g07-a4-ladder-2", "4.6", "has seven dilogarithm terms",
            lambda: 2.0 * L(1.0 / A4) + L(A4 ** -2) + 2.0 * L(A4 ** -3)
            - L(A4 ** -4) + 2.0 * L(A4 ** -5) + 2.0 * L(A4 ** -7)
            - L(A4 ** -10) - 2.0 * PI2 / 3.0 + 38.0 * la ** 2),
@@ -673,7 +664,7 @@ def _g7() -> list:
         ("a4", A4, 4.0, 1.0),
     ]
     entries += [
-        _E(f"g07-trinomial-{name}", "G7", "4.7", "general identity formula based on",
+        _E(f"g07-trinomial-{name}", "4.7", "general identity formula based on",
            lambda _x=xv, _n=n, _m=m: _trinomial(_x, _n, _m))
         for name, xv, n, m in trin
     ]
@@ -692,29 +683,28 @@ def _g8() -> list:
         return complex(closed - quad)
 
     return [
-        _E("g08-k0-trinomial", "G8", "4.8", "satisfies the trinomial equation identity",
+        _E("g08-k0-trinomial", "4.8", "satisfies the trinomial equation identity",
            lambda: L(1.0 / K) + L(-(K ** SQ2)) + 0.5 * (SQ2 + 1.0) ** 2 * lk ** 2),
-        _E("g08-k0-sector", "G8", "4.8", "We can obtain the same area",
+        _E("g08-k0-sector", "4.8", "We can obtain the same area",
            lambda: L(1.0 / K) + L(-(K ** SQ2))
            + lk * ln(K * math.sqrt(K) / (K - 1.0))),
-        _E("g08-k0-third", "G8", "4.8", "third two-term identity for the constant",
+        _E("g08-k0-third", "4.8", "third two-term identity for the constant",
            lambda: L(K ** -(SQ2 + 1.0)) + L(-(K ** -SQ2)) + 0.5 * lk ** 2),
-        _E("g08-k0-star-area", "G8", "4.8", "area of this star like figure",
-           star_area, tol=1e-8),
-        _E("g08-k0-octagon-ratio", "G8", "4.8", "area of this star like figure",
+        _E("g08-k0-star-area", "4.8", "area of this star like figure", star_area, tol=1e-8),
+        _E("g08-k0-octagon-ratio", "4.8", "area of this star like figure",
            lambda: complex(lk / ln(K / (K - 1.0)) - (SQ2 - 1.0))),
-        _E("g08-nbonacci-ladder", "G8", "4.9", "contains only three dilogarithm terms",
+        _E("g08-nbonacci-ladder", "4.9", "contains only three dilogarithm terms",
            _nbonacci, params=(ParamSpec("N", 2, 5, "integer"),)),
-        _E("g08-naddinacci-ladder", "G8", "4.9", "includes five dilogarithm terms",
+        _E("g08-naddinacci-ladder", "4.9", "includes five dilogarithm terms",
            _naddinacci, params=(ParamSpec("N", 2, 4, "integer"),)),
-        _E("g08-addinacci-4", "G8", "4.9", "corresponding to the 4-addinacci constant",
+        _E("g08-addinacci-4", "4.9", "corresponding to the 4-addinacci constant",
            lambda: _naddinacci(4.0)),
-        _E("g08-tribonacci-ladder-1", "G8", "4.9", "three-term 3-bonacci constant ladder",
+        _E("g08-tribonacci-ladder-1", "4.9", "three-term 3-bonacci constant ladder",
            lambda: 2.0 * L(1.0 / T) + L(T ** -2) - 2.0 * L(T ** -3) - PI2_6 + lt ** 2),
-        _E("g08-tribonacci-ladder-2", "G8", "4.9", "another tribonacci ladder",
+        _E("g08-tribonacci-ladder-2", "4.9", "another tribonacci ladder",
            lambda: 2.0 * L(1.0 / T) + 2.0 * L(T ** -2) + 2.0 * L(T ** -3)
            - L(T ** -4) - PI2 / 3.0 + 3.0 * lt ** 2),
-        _E("g08-tribonacci-combined", "G8", "4.9", "Combining these two formulae",
+        _E("g08-tribonacci-combined", "4.9", "Combining these two formulae",
            lambda: 6.0 * L(1.0 / T) + 5.0 * L(T ** -2) + 2.0 * L(T ** -3)
            - 2.0 * L(T ** -4) - 5.0 * PI2 / 6.0 + 7.0 * lt ** 2),
     ]
@@ -752,58 +742,57 @@ def _g9() -> list:
         return Lc(z) - rhs
 
     return [
-        _E("g09-inversion", "G9", "5.1", "more familiar complex domain identity",
+        _E("g09-inversion", "5.1", "more familiar complex domain identity",
            lambda z: L(z) + L(1.0 / z) - PI2 / 3.0 + 0.5 * ln(z) ** 2
            + 1j * PI * ln(z),
            params=(ParamSpec("z", 1.001, 1e3, "log", 32),),
            convention="lower-lip"),
-        _E("g09-li2-two", "G9", "5.1", "the exact values for",
+        _E("g09-li2-two", "5.1", "the exact values for",
            lambda: L(2.0) - complex(PI2 / 4.0, -PI * LN2), convention="lower-lip"),
-        _E("g09-li2-phi", "G9", "5.1", "the exact values for",
+        _E("g09-li2-phi", "5.1", "the exact values for",
            lambda: L(PHI) - complex(7.0 * PI2 / 30.0 + 0.5 * LPHI ** 2, -PI * LPHI),
            convention="lower-lip"),
-        _E("g09-li2-phi2", "G9", "5.1", "the exact values for",
+        _E("g09-li2-phi2", "5.1", "the exact values for",
            lambda: L(PHI ** 2)
            - complex(4.0 * PI2 / 15.0 - LPHI ** 2, -2.0 * PI * LPHI),
            convention="lower-lip"),
-        _E("g09-li2-one-minus-i-half", "G9", "5.2", "calculating the exact value for",
+        _E("g09-li2-one-minus-i-half", "5.2", "calculating the exact value for",
            lambda: Lc(complex(0.5, -0.5))
            - complex(5.0 * PI2 / 96.0 - 0.125 * LN2 ** 2, PI * LN2 / 8.0 - C)),
-        _E("g09-li2-i", "G9", "5.2", "calculating the exact value for",
+        _E("g09-li2-i", "5.2", "calculating the exact value for",
            lambda: Lc(1j) - complex(-PI2 / 48.0, C)),
-        _E("g09-imag-sqrt3", "G9", "5.3", "unexpected simple outcome",
+        _E("g09-imag-sqrt3", "5.3", "unexpected simple outcome",
            lambda: Lc(1j * (2.0 - SQ3)) - Lc(1j * (SQ3 - 2.0))
            - 1j * (4.0 * C / 3.0 - PI * ln(2.0 + SQ3) / 6.0)),
-        _E("g09-imag-sqrt2", "G9", "5.3", "plays the key role now",
+        _E("g09-imag-sqrt2", "5.3", "plays the key role now",
            lambda: Lc(1j * (SQ2 - 1.0)) - Lc(1j * (1.0 - SQ2))
            - 1j * ((trigamma(0.125) + trigamma(0.375)
                     - trigamma(0.625) - trigamma(0.875)) / (32.0 * SQ2)
                    - 0.25 * PI * ln(SQ2 + 1.0))),
-        _E("g09-quarter-root-five", "G9", "5.4", "complex number to be the initial value",
-           eq60),
-        _E("g09-single-value", "G9", "5.5", "final single value representation", eq61),
-        _E("g09-re-sqrt7-a", "G9", "5.6", "exact value for a real part",
+        _E("g09-quarter-root-five", "5.4", "complex number to be the initial value", eq60),
+        _E("g09-single-value", "5.5", "final single value representation", eq61),
+        _E("g09-re-sqrt7-a", "5.6", "exact value for a real part",
            lambda: complex(Lc(complex(1.5, 0.5 * SQ7)).real
                            - (-PI2 / 24.0 - 0.25 * LN2 ** 2
                               + 0.5 * PI * math.atan(SQ7 / 5.0)
                               + 0.5 * math.atan(SQ7 / 3.0) * math.atan(SQ7)))),
-        _E("g09-re-sqrt7-b", "G9", "5.7", "another exact real part",
+        _E("g09-re-sqrt7-b", "5.7", "another exact real part",
            lambda: complex(Lc(complex(0.625, SQ7 / 8.0)).real
                            - (7.0 * PI2 / 24.0 - 0.25 * LN2 ** 2
                               - 0.5 * PI * math.atan(SQ7 / 5.0)
                               - 1.5 * math.atan(SQ7 / 3.0) * math.atan(SQ7)))),
-        _E("g09-li2-phii", "G9", "5.8", "the imaginary golden ratio",
+        _E("g09-li2-phii", "5.8", "the imaginary golden ratio",
            lambda: Lc(phii) - complex(PI2 / 36.0, G)),
-        _E("g09-gieseking-pair", "G9", "5.8", "the imaginary golden ratio",
+        _E("g09-gieseking-pair", "5.8", "the imaginary golden ratio",
            lambda: Lc(1j / SQ3) - Lc(-1j / SQ3)
            - 1j * (5.0 * G / 3.0 - PI * LN3 / 6.0)),
-        _E("g09-trigamma-sum", "G9", "5.8", "a nice trigamma-identity of the form",
+        _E("g09-trigamma-sum", "5.8", "a nice trigamma-identity of the form",
            lambda: complex(trigamma(1.0 / 6.0) + 5.0 * trigamma(1.0 / 3.0)
                            + 5.0 * trigamma(2.0 / 3.0) + trigamma(5.0 / 6.0)
                            - 32.0 * PI2 / 3.0)),
-        _E("g09-im-half-phii", "G9", "5.8", "derive the imaginary part for",
+        _E("g09-im-half-phii", "5.8", "derive the imaginary part for",
            lambda: complex(Lc(0.5 * phii).imag - (5.0 * G / 6.0 - PI * LN2 / 6.0))),
-        _E("g09-im-two-phii", "G9", "5.8", "exploit the above result",
+        _E("g09-im-two-phii", "5.8", "exploit the above result",
            lambda: complex(Lc(2.0 * phii).imag - (5.0 * G / 6.0 + PI * LN2 / 2.0))),
     ]
 
@@ -834,20 +823,20 @@ def _g10() -> list:
         ("item6", lambda: L(-0.5) - L(0.125 / PHI ** 4) / 6.0 - L(PHI ** 4 / 8.0) / 6.0
          + PI2_12 + 4.0 / 3.0 * LPHI ** 2 - LN2 ** 2),
     ]
-    entries = [_E(f"g10-{name}", "G10", "6", q, fn) for name, fn in items]
+    entries = [_E(f"g10-{name}", "6", q, fn) for name, fn in items]
     entries += [
-        _E("g10-item7", "G10", "6", "an unorthodox maneuver",
+        _E("g10-item7", "6", "an unorthodox maneuver",
            lambda: L(-0.5) + 2.0 * Lc(2.0 * phii).real + 0.5 * LN2 ** 2),
-        _E("g10-item8", "G10", "6", "substitute this value in the all",
+        _E("g10-item8", "6", "substitute this value in the all",
            lambda: L(-0.5) - 2.0 * Lc(0.5 * phii).real + PI2 / 9.0 - 0.5 * LN2 ** 2),
-        _E("g10-item9", "G10", "6", "magic angle",
+        _E("g10-item9", "6", "magic angle",
            lambda: L(-0.5) + Lc(complex(2.0, 2.0 * SQ2)).real
            - PI2_12 + th * th + 0.5 * LN2 ** 2 + 0.25 * LN3 ** 2,
            expected="flagged"),
-        _E("g10-re-sum", "G10", "6", "two-term identity related to",
+        _E("g10-re-sum", "6", "two-term identity related to",
            lambda: complex(Lc(0.5 * phii).real + Lc(2.0 * phii).real
                            - PI2 / 18.0 + 0.5 * LN2 ** 2)),
-        _E("g10-complex-sum", "G10", "6", "including the complex golden ratio",
+        _E("g10-complex-sum", "6", "including the complex golden ratio",
            lambda: Lc(0.5 * phii) + Lc(2.0 * phii)
            - complex(PI2 / 18.0 - 0.5 * LN2 ** 2,
                      5.0 * G / 3.0 + PI * LN2 / 3.0)),
@@ -883,56 +872,53 @@ def _g11() -> list:
         return 22.0 * PI2 / (7.0 * PI2 - 15.0 * LPHI ** 2) - 2.0
 
     entries = [
-        _E("g11-r-at-one", "G11", "7.1", "define the critical shape factor",
+        _E("g11-r-at-one", "7.1", "define the critical shape factor",
            lambda: complex(area_ratio_r(1.0) - PI2 / (4.0 * ln(1.0 + SQ2) ** 2))),
-        _E("g11-r-critical", "G11", "7.1", "define the critical shape factor",
+        _E("g11-r-critical", "7.1", "define the critical shape factor",
            lambda: complex(area_ratio_r(_const("a_c")) - 3.0)),
-        _E("g11-r-limit", "G11", "7.1", "define the critical shape factor",
+        _E("g11-r-limit", "7.1", "define the critical shape factor",
            lambda: complex(area_ratio_r(1e8) - 2.0), kind="limit", tol=5e-2),
-        _E("g11-middle-square-root", "G11", "7.1", "the degenerate form",
-           example2_root),
-        _E("g11-exp-pi-sqrt6-a", "G11", "7.1", "identity without the constant terms",
+        _E("g11-middle-square-root", "7.1", "the degenerate form", example2_root),
+        _E("g11-exp-pi-sqrt6-a", "7.1", "identity without the constant terms",
            lambda: L(2.0 - k6) - L(1.0 / k6) - 0.5 * L(2.0 * k6 - k6 * k6)),
-        _E("g11-exp-pi-sqrt6-b", "G11", "7.1", "common root for the both identities",
+        _E("g11-exp-pi-sqrt6-b", "7.1", "common root for the both identities",
            lambda: L(k6) + L(2.0 - 1.0 / k6) + L(1.0 - 2.0 * k6) - L(2.0 * k6 - 1.0),
            convention="lower-lip"),
-        _E("g11-exp-pi-sqrt6-c", "G11", "7.1", "constant term free identities",
+        _E("g11-exp-pi-sqrt6-c", "7.1", "constant term free identities",
            eq82, params=(ParamSpec("k", 0.501, 0.999, "linear", 24),)),
-        _E("g11-median-equation", "G11", "7.2", "the formula for a median is given by",
-           _median_half_area,
+        _E("g11-median-equation", "7.2", "the formula for a median is given by", _median_half_area,
            params=(ParamSpec("a", -0.9, 50.0, "log", 8),), tol=1e-8),
-        _E("g11-median-rule-1", "G11", "7.2", "is equal to the rectangle area",
+        _E("g11-median-rule-1", "7.2", "is equal to the rectangle area",
            rule_1, params=(ParamSpec("a", -0.9, 20.0, "log", 16),)),
-        _E("g11-median-rule-2", "G11", "7.2", "always half of the area",
+        _E("g11-median-rule-2", "7.2", "always half of the area",
            rule_2, params=(ParamSpec("a", -0.9, 20.0, "log", 16),)),
-        _E("g11-median-example-4", "G11", "7.2", "the formula for a median is given by",
+        _E("g11-median-example-4", "7.2", "the formula for a median is given by",
            lambda: median_example("median_n1", 1)),
-        _E("g11-median-example-5", "G11", "7.2", "the formula for a median is given by",
+        _E("g11-median-example-5", "7.2", "the formula for a median is given by",
            lambda: median_example("median_n2", 2)),
-        _E("g11-median-example-6", "G11", "7.2", "the formula for a median is given by",
+        _E("g11-median-example-6", "7.2", "the formula for a median is given by",
            lambda: _five_term_median(_const("median_n2"))),
-        _E("g11-median-example-7", "G11", "7.2", "the formula for a median is given by",
+        _E("g11-median-example-7", "7.2", "the formula for a median is given by",
            lambda: median_example("median_n3", 3)),
-        _E("g11-median-asymptotic-1", "G11", "7.2", "an indeterminate form",
+        _E("g11-median-asymptotic-1", "7.2", "an indeterminate form",
            lambda: _ex8_pair(1, 1e6), kind="limit", tol=1e-3),
-        _E("g11-median-asymptotic-2", "G11", "7.2", "asymptotic median equation",
+        _E("g11-median-asymptotic-2", "7.2", "asymptotic median equation",
            lambda: _ex8_pair(2, 1e6), kind="limit", tol=1e-3),
-        _E("g11-rxa-phi-0", "G11", "7.3", "an inverse gemini function pair",
+        _E("g11-rxa-phi-0", "7.3", "an inverse gemini function pair",
            lambda: complex(area_ratio_rxa(PHI, 0.0) - 5.0)),
-        _E("g11-rxa-phi-1", "G11", "7.3", "an inverse gemini function pair",
+        _E("g11-rxa-phi-1", "7.3", "an inverse gemini function pair",
            lambda: complex(area_ratio_rxa(PHI, 1.0) - 3.0)),
-        _E("g11-inverse-pair-phi", "G11", "7.3", "values for the inverse function pairs",
+        _E("g11-inverse-pair-phi", "7.3", "values for the inverse function pairs",
            lambda: _inverse_pair(PHI, phi_pair_n())),
-        _E("g11-no-pi2-pair", "G11", "7.3", "values for the inverse function pairs",
+        _E("g11-no-pi2-pair", "7.3", "values for the inverse function pairs",
            lambda: complex(abs(L(-_const("a_no_pi2")) + PI2_6),
                            abs(L(-1.0 / _const("a_no_pi2"))
                                + 0.5 * ln(_const("a_no_pi2")) ** 2))),
-        _E("g11-exp-i-pi-sqrt3", "G11", "7.3",
-           "extremely simple complex valued two-term identity",
+        _E("g11-exp-i-pi-sqrt3", "7.3", "extremely simple complex valued two-term identity",
            lambda: Lc(-cmath.exp(1j * PI / SQ3)) + Lc(-cmath.exp(-1j * PI / SQ3))),
     ]
     entries += [
-        _E(f"g11-inverse-pair-n{n}", "G11", "7.3", "values for the inverse function pairs",
+        _E(f"g11-inverse-pair-n{n}", "7.3", "values for the inverse function pairs",
            lambda _n=n: _inverse_pair(_const(f"inverse_pair_a_n{_n}"), float(_n)))
         for n in range(2, 8)
     ]
@@ -979,20 +965,17 @@ def _g12() -> list:
         return complex(i1 - i3, i1 - 0.5 * abs(i2))
 
     return [
-        _E("g12-critical-a", "G12", "9.1", "scale factor starts to dominate",
+        _E("g12-critical-a", "9.1", "scale factor starts to dominate",
            critical_derivative, tol=1e-6),
-        _E("g12-a-of-p", "G12", "9.1", "The result of this improper integral",
+        _E("g12-a-of-p", "9.1", "The result of this improper integral",
            a_of_p_quad, params=(ParamSpec("p", 1.2, 10.0, "log", 6),), tol=1e-7),
-        _E("g12-median-zero-p", "G12", "9.1", "single-term dilogarithm representation",
-           median_zero_p),
-        _E("g12-fit-scale", "G12", "9.2", "fit an arbitrary gemini function",
+        _E("g12-median-zero-p", "9.1", "single-term dilogarithm representation", median_zero_p),
+        _E("g12-fit-scale", "9.2", "fit an arbitrary gemini function",
            lambda: complex(total_area(GeminiParams(0.0, math.sqrt(1.5))) - PI2 / 4.0)),
-        _E("g12-fit-intersections", "G12", "9.2", "fit an arbitrary gemini function",
+        _E("g12-fit-intersections", "9.2", "fit an arbitrary gemini function",
            intersections, tol=1e-5),
-        _E("g12-fit-zero-sum", "G12", "9.2", "fit an arbitrary gemini function",
-           zero_sum, tol=1e-8),
-        _E("g12-fit-half-split", "G12", "9.2", "fit an arbitrary gemini function",
-           half_split, tol=1e-8),
+        _E("g12-fit-zero-sum", "9.2", "fit an arbitrary gemini function", zero_sum, tol=1e-8),
+        _E("g12-fit-half-split", "9.2", "fit an arbitrary gemini function", half_split, tol=1e-8),
     ]
 
 
@@ -1016,37 +999,35 @@ def _g13() -> list:
                 + complex(11.0 * PI2 / 150.0 + 0.5 * LPHI ** 2, -2.0 * PI * LPHI / 5.0))
 
     return [
-        _E("g13-campbell", "G13", "10.1", "a numerically discovered identity", campbell),
-        _E("g13-campbell-chain", "G13", "10.1", "a numerically discovered identity",
-           campbell_chain),
-        _E("g13-campbell-link", "G13", "10.1", "a numerically discovered identity",
-           chain_link),
-        _E("g13-re-half-iu", "G13", "10.1", "real part can always be determined",
+        _E("g13-campbell", "10.1", "a numerically discovered identity", campbell),
+        _E("g13-campbell-chain", "10.1", "a numerically discovered identity", campbell_chain),
+        _E("g13-campbell-link", "10.1", "a numerically discovered identity", chain_link),
+        _E("g13-re-half-iu", "10.1", "real part can always be determined",
            lambda u: complex(Lc(complex(0.5, u)).real
                              - (PI2_12 - 0.125 * ln((1.0 + 4.0 * u * u) / 4.0) ** 2
                                 - 0.5 * math.atan(2.0 * u) ** 2)),
            params=(ParamSpec("u", -10.0, 10.0, "linear", 32),)),
-        _E("g13-re-phi-point", "G13", "10.1", "real part can always be determined",
+        _E("g13-re-phi-point", "10.1", "real part can always be determined",
            lambda: complex(Lc(complex(0.5, 0.5 * math.sqrt(SQ5 * PHI ** 3))).real
                            - (PI2 / 300.0 - 0.5 * LPHI ** 2))),
-        _E("g13-kummer", "G13", "10.1", "aid of Kummer's rule",
+        _E("g13-kummer", "10.1", "aid of Kummer's rule",
            lambda t: complex(Lc(cmath.exp(1j * t)).real
                              - (PI2_6 - (2.0 * PI * t - t * t) / 4.0)),
            params=(ParamSpec("theta", 1e-3, 2.0 * PI - 1e-3, "linear", 32),)),
-        _E("g13-re-ei-pi5", "G13", "10.1", "aid of Kummer's rule",
+        _E("g13-re-ei-pi5", "10.1", "aid of Kummer's rule",
            lambda: complex(Lc(cmath.exp(1j * PI / 5.0)).real - 23.0 * PI2 / 300.0)),
-        _E("g13-li2-ei-pi5", "G13", "10.1", "workable exercise with trigamma functions",
+        _E("g13-li2-ei-pi5", "10.1", "workable exercise with trigamma functions",
            lambda: Lc(cmath.exp(1j * PI / 5.0)) - _li2_eipi5_closed()),
-        _E("g13-half-ladder-1", "G13", "10.2", "ladders in the base",
+        _E("g13-half-ladder-1", "10.2", "ladders in the base",
            lambda: 4.0 * L(0.5) - 6.0 * L(0.25) - 2.0 * L(0.125)
            + L(1.0 / 64.0) - LN2 ** 2),
-        _E("g13-half-ladder-2", "G13", "10.2", "ladders in the base",
+        _E("g13-half-ladder-2", "10.2", "ladders in the base",
            lambda: 36.0 * L(0.5) - 36.0 * L(0.25) - 12.0 * L(0.125)
            + 6.0 * L(1.0 / 64.0) - PI2),
-        _E("g13-tribonacci-y", "G13", "10.3", "derive a five-term ladder",
+        _E("g13-tribonacci-y", "10.3", "derive a five-term ladder",
            lambda: 4.0 * L(y ** -3) - 4.0 * L(y ** -4) - 2.0 * L(y ** -6)
            - 2.0 * L(y ** -7) + L(y ** -14) - ln(y) ** 2),
-        _E("g13-tribonacci-t", "G13", "10.3", "derive a five-term ladder",
+        _E("g13-tribonacci-t", "10.3", "derive a five-term ladder",
            lambda: 4.0 * L(0.5 / T) - 4.0 * L(1.0 / (2.0 * T + 2.0))
            - 2.0 * L(0.25 / (T * T)) - 2.0 * L((2.0 - T) / (4.0 * T - 4.0))
            + L((5.0 * T - 9.0) / (64.0 * T - 32.0)) - ln((T + 1.0) / T) ** 2),
@@ -1082,50 +1063,48 @@ def _g14() -> list:
         return complex(h.volume - PI ** 3, h.cross_section - PI2)
 
     return [
-        _E("g14-volume-half", "G14", "A.1", "Volumes of solid of revolutions",
+        _E("g14-volume-half", "A.1", "Volumes of solid of revolutions",
            lambda: vol_closed(-0.5, zeta3() / 8.0 + PI2 * LN2 / 12.0 - LN2 ** 3 / 6.0)),
-        _E("g14-volume-inv-phi2", "G14", "A.1", "Volumes of solid of revolutions",
+        _E("g14-volume-inv-phi2", "A.1", "Volumes of solid of revolutions",
            lambda: vol_closed(-1.0 / PHI ** 2,
                               zeta3() / 5.0 - 2.0 / 3.0 * LPHI ** 3
                               + 2.0 / 15.0 * PI2 * LPHI)),
-        _E("g14-volume-zero", "G14", "A.1", "Volumes of solid of revolutions",
+        _E("g14-volume-zero", "A.1", "Volumes of solid of revolutions",
            lambda: vol_closed(0.0, zeta3())),
-        _E("g14-volume-one", "G14", "A.1", "Volumes of solid of revolutions",
+        _E("g14-volume-one", "A.1", "Volumes of solid of revolutions",
            lambda: vol_closed(1.0, 7.0 * zeta3() / 4.0)),
-        _E("g14-volume-quad", "G14", "A.1", "Volumes of solid of revolutions",
-           vol_quad,
+        _E("g14-volume-quad", "A.1", "Volumes of solid of revolutions", vol_quad,
            params=(ParamSpec("a", -0.5, 1.0, "linear", 4,
                              edges=(-1.0 / PHI ** 2, 0.0)),),
            tol=1e-7),
         # convergence is O(1/ln^2 a): at a = 1e8 the gap is still ~8e-2, so the
         # limit is sampled far out where the stated tolerance is meaningful
-        _E("g14-volume-ratio-limit", "G14", "A.1", "resembling an Euclidean 3D cone",
+        _E("g14-volume-ratio-limit", "A.1", "resembling an Euclidean 3D cone",
            lambda: complex(volume_ratio(1e32) - 8.0 / 3.0), kind="limit", tol=1e-2),
-        _E("g14-moment", "G14", "A.1", "raw moment for a non-normalized",
+        _E("g14-moment", "A.1", "raw moment for a non-normalized",
            moment_quad, params=(ParamSpec("s", 1.0, 3.5, "linear", 3, edges=(2.0,)),),
            tol=1e-8),
-        _E("g14-combined-integral", "G14", "A.1", "connects the Riemann zeta and gamma",
+        _E("g14-combined-integral", "A.1", "connects the Riemann zeta and gamma",
            lambda s: complex(combined_zeta_gamma_residual(s, tol=1e-10)),
            params=(ParamSpec("s", 1.5, 3.0, "linear", 2),), tol=1e-8),
-        _E("g14-laplace-point", "G14", "A.2", "is the Laplace limit",
+        _E("g14-laplace-point", "A.2", "is the Laplace limit",
            lambda: complex(equal_radii_point() - xs)),
-        _E("g14-curvature-kg", "G14", "A.2", "is the Laplace limit",
+        _E("g14-curvature-kg", "A.2", "is the Laplace limit",
            lambda: complex(curvature_profile(xs).gauss_curvature + 0.212045),
            tol=1e-5),
-        _E("g14-curvature-kg-closed", "G14", "A.2", "is the Laplace limit", kg_closed),
-        _E("g14-curvature-radii", "G14", "A.2", "is the Laplace limit", radii),
-        _E("g14-curvature-radius-value", "G14", "A.2", "is the Laplace limit",
+        _E("g14-curvature-kg-closed", "A.2", "is the Laplace limit", kg_closed),
+        _E("g14-curvature-radii", "A.2", "is the Laplace limit", radii),
+        _E("g14-curvature-radius-value", "A.2", "is the Laplace limit",
            lambda: complex(abs(curvature_profile(xs).R1) - 2.171623), tol=1e-5),
-        _E("g14-curvature-theta", "G14", "A.2", "is the Laplace limit",
+        _E("g14-curvature-theta", "A.2", "is the Laplace limit",
            lambda: complex(curvature_profile(xs).theta - math.atan(lam))),
-        _E("g14-cfp", "G14", "A.2", "hyperbolic cotangent fixed point constant",
+        _E("g14-cfp", "A.2", "hyperbolic cotangent fixed point constant",
            lambda: complex(_const("C_CFP") - math.asinh(1.0 / lam))),
-        _E("g14-cfp-gemini-value", "G14", "A.2", "hyperbolic cotangent fixed point constant",
+        _E("g14-cfp-gemini-value", "A.2", "hyperbolic cotangent fixed point constant",
            lambda: complex(value(GeminiParams(1.0), xs) - _const("C_CFP"))),
-        _E("g14-mamikon", "G14", "A.3", "Mamikon's tangent sweep theorem",
+        _E("g14-mamikon", "A.3", "Mamikon's tangent sweep theorem",
            lambda: complex(mamikon_area(tol=1e-11) - PI2 / 4.0)),
-        _E("g14-pi-hole", "G14", "A.4", "call this solid of revolution a",
-           pi_hole_residual, tol=1e-8),
+        _E("g14-pi-hole", "A.4", "call this solid of revolution a", pi_hole_residual, tol=1e-8),
     ]
 
 

@@ -6,11 +6,17 @@ The generalized gemini function is
 
 with shape factor a >= -1 and scale factor b > 0.  Every member is
 self-inverse; a = 1 is the fundamental form and a = 0 the degenerate form.
+
+Error contract: every public function returns finite floats (tuple entries
+and dataclass fields included), or raises ValueError for arguments outside its
+domain or a result beyond binary64, or AccuracyError when the numerics miss
+their tolerance.  No other exception escapes and no inf or nan is returned.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .analysis import BracketError, find_root
@@ -76,13 +82,20 @@ def _no_overflow(result: float, fn: str, *args) -> float:
 
 
 def value(p: GeminiParams, x: float) -> float:
-    """g_a^b(x) for x > 0."""
+    """g_a^b(x) for x > 0; exactly 0 for the completely degenerate a = -1."""
     if not (x > 0.0):
         raise ValueError("gemini functions are defined for x > 0")
-    u = x / p.b
-    e = math.exp(-u)
+    a, b = p.a, p.b
+    if a == -1.0:
+        # the two logarithms below would cancel only to the rounding of e^{-u}
+        return 0.0
+    u = x / b
     # log1p/expm1 forms keep the small-x blow-up well conditioned
-    return _no_overflow(p.b * (math.log1p(p.a * e) - math.log(-math.expm1(-u))), "value", p, x)
+    g = b * (math.log1p(a * math.exp(-u)) - math.log(-math.expm1(-u)))
+    # _no_overflow inlined: this check runs in every gemini integrand
+    if not math.isfinite(g):
+        raise ValueError(f"value({p!r}, {x!r}) overflows binary64")
+    return g
 
 
 def antiderivative(p: GeminiParams, x: float) -> float:
@@ -114,10 +127,16 @@ def fixed_point(a: float) -> float:
 
 def symmetric_partner(a: float, x1: float) -> float:
     """x2 = ln((X+a)/(X-1)) with X = e^{x1}; an involution in x1."""
-    X = math.exp(x1)
+    if not (-1.0 <= a < math.inf and math.isfinite(x1)):
+        raise ValueError(f"symmetric_partner({a!r}, {x1!r}) needs finite a >= -1 and x1")
+    try:
+        X = math.exp(x1)
+    except OverflowError:  # x1 above ~709.78
+        raise ValueError(f"symmetric_partner({a!r}, {x1!r}) overflows binary64") from None
     if X <= 1.0 + 1e-12:
-        raise ValueError("symmetric partner needs e^{x1} > 1")
-    return math.log((X + a) / (X - 1.0))
+        raise ValueError(f"symmetric_partner({a!r}, {x1!r}) needs e^x1 > 1")
+    # X + a >= X - 1 > 0, so the ratio is at least 1 and only overflow is left
+    return _no_overflow(math.log((X + a) / (X - 1.0)), "symmetric_partner", a, x1)
 
 
 def area_decomposition(p: GeminiParams) -> AreaDecomposition:
@@ -184,6 +203,7 @@ def median_rule_residuals(a: float) -> tuple:
 
 
 _SQRT2 = math.sqrt(2.0)
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 def rotated_degenerate(x: float) -> float:
@@ -191,12 +211,17 @@ def rotated_degenerate(x: float) -> float:
     _require_finite(x, "x")
     # even in x; write via |x| to avoid cosh overflow asymmetry
     t = _SQRT2 * abs(x)
-    return (t + 2.0 * math.log1p(math.exp(-t))) / _SQRT2
+    return _no_overflow((t + 2.0 * math.log1p(math.exp(-t))) / _SQRT2, "rotated_degenerate", x)
 
 
 def rotated_antiderivative(x: float) -> float:
     """Antiderivative Li2(-e^{-x sqrt2}) + x^2/2 of the rotated degenerate form."""
-    return li2_re(-math.exp(-_SQRT2 * x)) + 0.5 * x * x
+    _require_finite(x, "x")
+    try:
+        e = math.exp(-_SQRT2 * x)
+    except OverflowError:  # x below ~ -502
+        raise ValueError(f"rotated_antiderivative({x!r}) overflows binary64") from None
+    return _no_overflow(li2_re(-e) + 0.5 * x * x, "rotated_antiderivative", x)
 
 
 def inverse_pair_prediction(n: float) -> tuple:
@@ -207,8 +232,9 @@ def inverse_pair_prediction(n: float) -> tuple:
 
     for the inverse gemini pair with area ratio parameter n > 0.
     """
-    if not (n > 0.0):
-        raise ValueError("n must be positive")
+    # 2n - 1 overflows above DBL_MAX/2
+    if not (0.0 < n <= _HALF_MAX):
+        raise ValueError(f"inverse_pair_prediction({n!r}) needs 0 < n <= DBL_MAX/2")
     c1 = (-(2.0 * n - 1.0) / (n + 1.0), -0.5 * n / (n + 1.0))
     c2 = ((n - 2.0) / (n + 1.0), -0.5 / (n + 1.0))
     return (c1, c2)
@@ -240,9 +266,12 @@ def scale_fit(a1: float, a2: float) -> float:
 
 def atot_of_a_p(a: float, p: float) -> float:
     """Unit-height normalized total area A_tot(a, p) = (pi^2/6 - Li2(-a))/(a+p)^2."""
-    if not (a > -1.0):
-        raise ValueError("requires a > -1")
-    return (PI2_6 - li2_re(-a)) / (a + p) ** 2
+    if not (a > -1.0 and p == p):  # p == p is False only for nan
+        raise ValueError(f"atot_of_a_p({a!r}, {p!r}) requires a > -1 and p not nan")
+    try:  # no check on the normal path: this is the integrand of g12-a-of-p
+        return (PI2_6 - li2_re(-a)) / (a + p) ** 2
+    except ArithmeticError:  # ZeroDivisionError or OverflowError
+        raise ValueError(f"atot_of_a_p({a!r}, {p!r}): (a+p)^2 is 0 or inf") from None
 
 
 def critical_a(p: float) -> float:

@@ -3,6 +3,11 @@
 A geminoid is the solid of revolution of a gemini function (volume taken
 by cylindrical shells); its volume has the closed form
 2*pi*b^3*[zeta(3) - Li3(-a)].
+
+Error contract: every public function returns finite floats (dataclass
+fields included), or raises ValueError for arguments outside its domain or a
+result beyond binary64, or AccuracyError when a quadrature misses its
+tolerance.  No other exception escapes and no inf or nan is returned.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import find_root, integrate
-from .gemini import GeminiParams, _no_overflow, value
+from .gemini import GeminiParams, _no_overflow, fixed_point, value
 from .polylog import gamma_fn, li3_real, zeta3, zeta_fn
 
 __all__ = [
@@ -62,7 +67,7 @@ def volume_ratio(a: float) -> float:
     """V_a over the middle-cylinder volume; tends to 8/3 as a grows."""
     if not (a > -1.0):
         raise ValueError("volume ratio requires a > -1")
-    return 2.0 * (zeta3() - li3_real(-a)) / math.log(1.0 + math.sqrt(1.0 + a)) ** 3
+    return 2.0 * (zeta3() - li3_real(-a)) / fixed_point(a) ** 3
 
 
 def raw_moment(s: float) -> float:

@@ -13,6 +13,10 @@ domain |z| <= 1, Re z <= 1/2, where |w| <= pi/3 (|w| <= ln 2 for real
 arguments).  Any argument reaches that domain in at most one inversion
 z -> 1/z followed by at most one reflection z -> 1 - z (for Li3 on (1/2, 1),
 the three-term identity); nothing recurses and no loop runs to a tolerance.
+
+Error contract: every public function returns a finite float or complex, or
+raises ValueError for an argument outside its domain or a result beyond
+binary64; no other exception escapes and no inf or nan is returned.
 """
 
 from __future__ import annotations
@@ -68,16 +72,6 @@ _BERNOULLI = {
     30: 8615841276005.0 / 14322.0,
 }
 
-# B_{2n}/(2n+1)! for n = 1..12:  Li2(z) = w - w^2/4 + w * sum_n a_n w^(2n),
-# w = -ln(1-z).  The series converges for |w| < 2*pi; at |w| = pi/3 the first
-# omitted term is below 1e-21 relative to w.
-_LI2_COEFFS = (
-    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
-    -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
-    8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
-    -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21,
-)
-
 # c_m = sum_{k=1..m} B_{k-1} B_{m-k} / (k! (m-k)! m) for m = 1..20:
 # Li3(x) = sum_m c_m u^m, u = -ln(1-x), from dLi3/du = Li2/(e^u - 1).  On
 # the reduced domain |u| <= ln 2 the first omitted term is below 2e-20
@@ -104,8 +98,10 @@ def _require_finite(x: float, name: str = "x") -> None:
 
 def _li2_series(w):
     """Li2(1 - e^-w) for |w| <= pi/3; w may be float or complex."""
+    # Li2 = w - w^2/4 + w * sum_n a_n w^(2n) with a_n = B_2n/(2n+1)!, n = 1..12,
+    # by Horner's rule unrolled.  The series converges for |w| < 2*pi; at
+    # |w| = pi/3 the first omitted term is below 1e-21 relative to w.
     t = w * w
-    # Horner's rule on the 12 coefficients of _LI2_COEFFS, unrolled
     p = ((((((((((-5.581785874325009e-21 * t + 2.395218621026187e-19) * t
                  - 1.0356517612181247e-17) * t + 4.518980029619918e-16) * t
                - 1.9939295860721074e-14) * t + 8.921691020456452e-13) * t

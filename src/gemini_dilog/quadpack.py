@@ -99,7 +99,7 @@ def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple:
     dhlgth = abs(hlgth)
     resg = 0.0
     fc = f(centr)
-    resk = 0.149445554002916905664936468389821 * fc
+    resk = _WGK21[10] * fc
     resabs = abs(resk)
     fv1 = [0.0] * 10
     fv2 = [0.0] * 10
@@ -123,7 +123,7 @@ def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple:
         resk = resk + wk * fsum
         resabs = resabs + wk * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
-    resasc = 0.149445554002916905664936468389821 * abs(fc - reskh)
+    resasc = _WGK21[10] * abs(fc - reskh)
     for j in range(10):
         resasc = resasc + _WGK21[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
     resabs = resabs * dhlgth

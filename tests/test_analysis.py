@@ -188,6 +188,12 @@ class TestConstantRegistry:
     def test_provenance_tags(self):
         assert {c.provenance for c in constants_table()} == {"PAPER", "DERIVED"}
 
+    def test_bracket_defaults_to_reference_plus_minus_half(self):
+        explicit = {c.id: c.bracket for c in constants_table()
+                    if c.bracket != (c.reference_value - 0.5, c.reference_value + 0.5)}
+        assert explicit == {"addinacci_2": (2.0, 3.0), "p_median_zero": (1.01, 1.641080),
+                            "a_crit_p2": (-0.9, -0.1)}
+
     def test_every_constant_back_substitutes(self):
         for c in constants_table():
             x = solve_constant(c)
@@ -212,5 +218,4 @@ class TestConstantRegistry:
         t = constants_table()
         assert t is constants_table()
         with pytest.raises(TypeError):
-            t[0] = NamedConstant("x", "x = 0", lambda x: x, (-1.0, 1.0), 0.0,
-                                 "DERIVED")
+            t[0] = NamedConstant("x", "x = 0", lambda x: x, 0.0, "DERIVED")

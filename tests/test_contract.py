@@ -1,0 +1,139 @@
+"""The error contract of the public numerics API.
+
+Every public function of ``gemini`` and ``geometry``, and the algebraic
+solvers of ``analysis``, returns finite floats or complexes (tuples and
+dataclass fields included) or raises ``ValueError`` (which ``BracketError``
+subclasses) or ``AccuracyError``.  Nothing else may escape: no
+``ZeroDivisionError``, no ``OverflowError``, no silent inf or nan.
+"""
+
+import dataclasses
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gemini_dilog import analysis, gemini, geometry
+from gemini_dilog.analysis import AccuracyError
+from gemini_dilog.gemini import GeminiParams
+
+DBL_MAX = sys.float_info.max
+
+# edges of binary64 and of the functions' own ranges
+SPECIAL = (
+    0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-17, 1e-10,
+    DBL_MAX, -DBL_MAX, DBL_MAX / 2.0, DBL_MAX / math.sqrt(2.0), 1.3e154, 1.4e154, -1.4e154,
+    709.78, 710.0, -502.0, -503.0, 1e100, -1e100,
+    1.2418461352273484e-05, 1.926097818855344e-05,
+)
+
+# inputs that broke the contract before it was enforced
+REPRODUCED = [
+    (gemini.inverse_pair_solve_a, (1.2418461352273484e-05,)),
+    (gemini.inverse_pair_solve_a, (1.926097818855344e-05,)),
+    (gemini.symmetric_partner, (1.0, 710.0)),
+    (gemini.symmetric_partner, (math.nan, 1.0)),
+    (gemini.symmetric_partner, (math.inf, 1.0)),
+    (gemini.symmetric_partner, (1.0, math.inf)),
+    (gemini.symmetric_partner, (1.0, math.nan)),
+    (gemini.atot_of_a_p, (1.0, -1.0)),
+    (gemini.atot_of_a_p, (1.0, 1.4e154)),
+    (gemini.atot_of_a_p, (1.0, -1.4e154)),
+    (gemini.atot_of_a_p, (1.0, math.nan)),
+    (gemini.rotated_antiderivative, (-503.0,)),
+    (gemini.rotated_antiderivative, (-1.4e154,)),
+    (gemini.rotated_antiderivative, (1.4e155,)),
+    (gemini.rotated_degenerate, (1.3e308,)),
+    (gemini.rotated_degenerate, (DBL_MAX,)),
+    (gemini.inverse_pair_prediction, (DBL_MAX,)),
+    (gemini.inverse_pair_prediction, (math.inf,)),
+    (analysis.solve_nstep, (646, "plus")),
+    (analysis.solve_nstep, (1023, "minus")),
+]
+
+
+def _finite(v) -> bool:
+    if isinstance(v, (tuple, list)):
+        return all(_finite(u) for u in v)
+    if dataclasses.is_dataclass(v):
+        return all(_finite(getattr(v, f.name)) for f in dataclasses.fields(v))
+    if isinstance(v, complex):
+        return math.isfinite(v.real) and math.isfinite(v.imag)
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def _keeps_contract(fn, args) -> None:
+    """Call fn(*args), where a pair (a, b) stands for GeminiParams(a, b)."""
+    try:
+        out = fn(*[GeminiParams(*x) if isinstance(x, tuple) else x for x in args])
+    except (ValueError, AccuracyError):
+        return
+    assert _finite(out), (fn.__name__, args, out)
+
+
+F = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+P = st.tuples(F, F)
+# a small tol costs QUADPACK its whole subdivision limit; draw few of those
+TOL = st.one_of(st.sampled_from((1e-9, 1e-12, 0.0, -1.0, math.inf, math.nan, 5e-324)),
+                st.floats(min_value=1e-14, max_value=1.0))
+
+CALLS = {
+    gemini.value: (P, F),
+    gemini.antiderivative: (P, F),
+    gemini.area_between: (P, F, F),
+    gemini.total_area: (P,),
+    gemini.fixed_point: (F,),
+    gemini.symmetric_partner: (F, F),
+    gemini.area_decomposition: (P,),
+    gemini.area_ratio_r: (F,),
+    gemini.area_ratio_rxa: (F, F),
+    gemini.median: (F,),
+    gemini.median_rule_residuals: (F,),
+    gemini.rotated_degenerate: (F,),
+    gemini.rotated_antiderivative: (F,),
+    gemini.inverse_pair_prediction: (F,),
+    gemini.inverse_pair_solve_a: (F,),
+    gemini.scale_fit: (F, F),
+    gemini.atot_of_a_p: (F, F),
+    gemini.critical_a: (F,),
+    gemini.A_of_p: (F,),
+    geometry.geminoid_volume: (P,),
+    geometry.geminoid_volume_quad: (P, TOL),
+    geometry.volume_ratio: (F,),
+    geometry.raw_moment: (F,),
+    geometry.raw_moment_quad: (F, TOL),
+    geometry.combined_zeta_gamma_residual: (F, TOL),
+    geometry.curvature_profile: (F,),
+    geometry.arcgd: (F,),
+    geometry.mamikon_area: (TOL,),
+    geometry.pi_hole: (TOL,),
+    analysis.solve_trinomial: (F, F),
+    analysis.solve_nstep: (st.one_of(st.integers(), F), st.sampled_from(("plus", "minus", "x"))),
+}
+
+
+def test_every_public_function_is_fuzzed():
+    public = {getattr(m, name) for m in (gemini, geometry) for name in m.__all__}
+    public = {f for f in public if not isinstance(f, type)}
+    assert public - set(CALLS) == {geometry.equal_radii_point}  # takes no argument
+
+
+@pytest.mark.parametrize("fn, args", REPRODUCED,
+                         ids=[f"{fn.__name__}{args}" for fn, args in REPRODUCED])
+def test_reproduced_inputs(fn, args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        assert f"{fn.__name__}(" in str(exc)  # names the function and its arguments
+        return
+    assert _finite(out), out
+
+
+@pytest.mark.parametrize("fn", list(CALLS), ids=[fn.__name__ for fn in CALLS])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_error_contract(fn, data):
+    args = data.draw(st.tuples(*CALLS[fn]))
+    _keeps_contract(fn, args)

@@ -45,6 +45,12 @@ class TestValue:
             assert gemini.value(p, float(x)) == pytest.approx(
                 math.log(1.0 / math.tanh(float(x) / 2.0)), rel=1e-13)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-17, 1e-10, 1.0, 30.0, 1e300, math.inf])
+    def test_completely_degenerate_member_is_zero(self, x):
+        # a = -1: g = b ln((1 - e^{-x/b}) / (1 - e^{-x/b})) vanishes identically
+        assert gemini.value(GeminiParams(-1.0), x) == 0.0
+        assert gemini.value(GeminiParams(-1.0, 2.5), x) == 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             gemini.value(GeminiParams(1.0), 0.0)
@@ -264,6 +270,17 @@ class TestInversePairs:
     ])
     def test_n_below_one(self, n, ref):
         assert gemini.inverse_pair_solve_a(n) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1.2418461352273484e-05, 1.926097818855344e-05])
+    def test_tiny_n(self, n):
+        # Brent's interpolation divided by zero on the way to these roots; the
+        # equation fixes ln(1/a) ~ 500 only to ~1e-9 relative in binary64
+        a = gemini.inverse_pair_solve_a(n)
+        (A, B), _ = gemini.inverse_pair_prediction(1.0 / n)
+        with mpmath.workdps(40):
+            la = mpmath.findroot(lambda t: mpmath.polylog(2, -mpmath.exp(t))
+                                 - A * mpmath.pi ** 2 / 6 - B * t ** 2, -math.log(a))
+            assert a == pytest.approx(float(mpmath.exp(-la)), rel=1e-7)
 
 
 class TestScaleAndCritical:

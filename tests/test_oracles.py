@@ -190,6 +190,18 @@ class TestBrentAgainstScipy:
         for f, lo, hi, x in roots:
             assert x == self._brentq(f, lo, hi), (lo, hi)
 
+    # inverse_pair_solve_a(1/n) and the bracket find_root grows for it
+    @pytest.mark.parametrize("n, hi", [(80525.27375437916, 2.0 ** 743),
+                                       (51918.44309310768, 2.0 ** 597)])
+    def test_zero_interpolation_denominator_bisects(self, n, hi):
+        # Brent's interpolation meets fcur == fpre, where C's division gives
+        # inf or nan, which fails the step test, so brentq.c bisects
+        (A, B), _ = gemini.inverse_pair_prediction(n)
+        f = lambda a: polylog.li2_re(-a) - A * polylog.PI2_6 - B * math.log(a) ** 2
+        lo = 1.0 + 1e-9
+        assert analysis.find_root(f, lo, hi) == self._brentq(f, lo, hi)
+        assert analysis.find_root(f, lo, math.inf) == self._brentq(f, lo, hi)
+
     def test_nan_raises(self):
         with pytest.raises(ValueError):
             analysis.find_root(lambda x: math.nan, 0.0, 1.0)

@@ -228,17 +228,16 @@ class TestConstants:
 class TestSeriesCoefficients:
     """The kernel's float tables, regenerated from mpmath's Bernoulli numbers."""
 
-    def test_li2_table(self):
+    def test_li2_series_is_horner_on_the_bernoulli_table(self):
+        # _li2_series spells out Horner's rule on B_2n/(2n+1)!, n = 1..12:
+        # the same roundings in the same order give the same bits
         with mpmath.workdps(40):
-            ref = [float(mpmath.bernoulli(2 * n) / mpmath.factorial(2 * n + 1))
-                   for n in range(1, 13)]
-        assert list(polylog._LI2_COEFFS) == ref
+            coeffs = [float(mpmath.bernoulli(2 * n) / mpmath.factorial(2 * n + 1))
+                      for n in range(1, 13)]
 
-    def test_unrolled_li2_horner(self):
-        # _li2_series spells the _LI2_COEFFS Horner loop out; same roundings
         def looped(w):
             t, p = w * w, 0.0
-            for a in reversed(polylog._LI2_COEFFS):
+            for a in reversed(coeffs):
                 p = p * t + a
             return w + t * (w * p - 0.25)
 
