@@ -228,12 +228,25 @@ class TestConstants:
 class TestSeriesCoefficients:
     """The kernel's float tables, regenerated from mpmath's Bernoulli numbers."""
 
-    def test_li2_series_is_horner_on_the_bernoulli_table(self):
+    @staticmethod
+    def _li2_coeffs():
+        # B_2n/(2n+1)!, n = 1..12: the coefficients _li2_series spells out
+        with mpmath.workdps(40):
+            return [float(mpmath.bernoulli(2 * n) / mpmath.factorial(2 * n + 1))
+                    for n in range(1, 13)]
+
+    def test_li2_table(self):
+        # every float literal of _li2_series but the -1/4 of w^2 is a
+        # correctly rounded |B_2n/(2n+1)!|; signs and order are checked by
+        # test_unrolled_li2_horner
+        literals = [abs(c) for c in polylog._li2_series.__code__.co_consts
+                    if isinstance(c, float) and c != 0.25]
+        assert sorted(literals) == sorted(abs(a) for a in self._li2_coeffs())
+
+    def test_unrolled_li2_horner(self):
         # _li2_series spells out Horner's rule on B_2n/(2n+1)!, n = 1..12:
         # the same roundings in the same order give the same bits
-        with mpmath.workdps(40):
-            coeffs = [float(mpmath.bernoulli(2 * n) / mpmath.factorial(2 * n + 1))
-                      for n in range(1, 13)]
+        coeffs = self._li2_coeffs()
 
         def looped(w):
             t, p = w * w, 0.0
