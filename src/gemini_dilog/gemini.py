@@ -2,10 +2,14 @@
 
 The generalized gemini function is
 
-    g_a^b(x) = b * ln((1 + a*e^{-x/b}) / (1 - e^{-x/b})),   x > 0,
+    g_a^b(x) = b * ln((1 + a*e^{-x/b}) / (1 - e^{-x/b}))
+             = b * log1p((1 + a) / (e^{x/b} - 1)),   x > 0,
 
 with shape factor a >= -1 and scale factor b > 0.  Every member is
 self-inverse; a = 1 is the fundamental form and a = 0 the degenerate form.
+The log1p form, in which nothing cancels, is the one evaluator of g here:
+``value``, ``symmetric_partner`` and the moment integrands of ``geometry``
+all call it.
 
 Error contract: every public function returns finite floats (tuple entries
 and dataclass fields included), or raises ValueError for arguments outside its
@@ -74,6 +78,9 @@ class AreaDecomposition:
     between_limits: float
 
 
+_DBL_MIN = sys.float_info.min
+
+
 def _no_overflow(result: float, fn: str, *args) -> float:
     """``result`` of ``fn(*args)``; ValueError where it overflowed binary64."""
     if not math.isfinite(result):
@@ -81,17 +88,34 @@ def _no_overflow(result: float, fn: str, *args) -> float:
     return result
 
 
+def _g(a: float, x: float, b: float = 1.0) -> float:
+    """g_a(u) = log1p((1+a) / (e^u - 1)) at u = x/b > 0, the one evaluator of g.
+
+    Nothing cancels for any a >= -1, and a = -1 gives 0.  Where the log1p argument leaves
+    binary64, g = ln(1+a) - u - ln(1 - e^{-u}), with ln x - ln b once u underflows.
+    """
+    u = x / b
+    if u >= _DBL_MIN:
+        try:
+            g = math.log1p((1.0 + a) / math.expm1(u))
+        except OverflowError:  # e^u > DBL_MAX, so 1 - e^{-u} rounds to 1
+            e = math.exp(-0.5 * u)  # e^{-u} = e*e, where e is not subnormal
+            return math.log1p((1.0 + a) * e * e)
+        if g < math.inf:
+            return g
+        ln1me = math.log(-math.expm1(-u))
+    elif a == -1.0:  # g_{-1} = 0, where ln(1+a) - ln u below is -inf + inf
+        return 0.0
+    else:
+        ln1me = math.log(x) - math.log(b)
+    return math.log1p(a) - u - ln1me
+
+
 def value(p: GeminiParams, x: float) -> float:
-    """g_a^b(x) for x > 0; exactly 0 for the completely degenerate a = -1."""
+    """g_a^b(x) = b g_a(x/b) for x > 0; exactly 0 for the completely degenerate a = -1."""
     if not (x > 0.0):
         raise ValueError("gemini functions are defined for x > 0")
-    a, b = p.a, p.b
-    if a == -1.0:
-        # the two logarithms below would cancel only to the rounding of e^{-u}
-        return 0.0
-    u = x / b
-    # log1p/expm1 forms keep the small-x blow-up well conditioned
-    g = b * (math.log1p(a * math.exp(-u)) - math.log(-math.expm1(-u)))
+    g = p.b * _g(p.a, x, p.b)
     # _no_overflow inlined: this check runs in every gemini integrand
     if not math.isfinite(g):
         raise ValueError(f"value({p!r}, {x!r}) overflows binary64")
@@ -126,17 +150,10 @@ def fixed_point(a: float) -> float:
 
 
 def symmetric_partner(a: float, x1: float) -> float:
-    """x2 = ln((X+a)/(X-1)) with X = e^{x1}; an involution in x1."""
-    if not (-1.0 <= a < math.inf and math.isfinite(x1)):
-        raise ValueError(f"symmetric_partner({a!r}, {x1!r}) needs finite a >= -1 and x1")
-    try:
-        X = math.exp(x1)
-    except OverflowError:  # x1 above ~709.78
-        raise ValueError(f"symmetric_partner({a!r}, {x1!r}) overflows binary64") from None
-    if X <= 1.0 + 1e-12:
-        raise ValueError(f"symmetric_partner({a!r}, {x1!r}) needs e^x1 > 1")
-    # X + a >= X - 1 > 0, so the ratio is at least 1 and only overflow is left
-    return _no_overflow(math.log((X + a) / (X - 1.0)), "symmetric_partner", a, x1)
+    """x2 = g_a(x1) = ln((e^{x1}+a)/(e^{x1}-1)) for x1 > 0; an involution in x1."""
+    if not (-1.0 <= a < math.inf and 0.0 < x1 < math.inf):
+        raise ValueError(f"symmetric_partner({a!r}, {x1!r}) needs finite a >= -1 and x1 > 0")
+    return _g(a, x1)
 
 
 def area_decomposition(p: GeminiParams) -> AreaDecomposition:
@@ -217,11 +234,11 @@ def rotated_degenerate(x: float) -> float:
 def rotated_antiderivative(x: float) -> float:
     """Antiderivative Li2(-e^{-x sqrt2}) + x^2/2 of the rotated degenerate form."""
     _require_finite(x, "x")
-    try:
-        e = math.exp(-_SQRT2 * x)
-    except OverflowError:  # x below ~ -502
-        raise ValueError(f"rotated_antiderivative({x!r}) overflows binary64") from None
-    return _no_overflow(li2_re(-e) + 0.5 * x * x, "rotated_antiderivative", x)
+    if x >= 0.0:
+        F = li2_re(-math.exp(-_SQRT2 * x)) + 0.5 * x * x
+    else:  # the inversion formula, so that no e^{-x sqrt2} > 1 is formed
+        F = -li2_re(-math.exp(_SQRT2 * x)) - PI2_6 - 0.5 * x * x
+    return _no_overflow(F, "rotated_antiderivative", x)
 
 
 def inverse_pair_prediction(n: float) -> tuple:

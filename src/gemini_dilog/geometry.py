@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import find_root, integrate
-from .gemini import GeminiParams, _no_overflow, fixed_point, value
+from .gemini import GeminiParams, _g, _no_overflow, fixed_point, value
 from .polylog import gamma_fn, li3_real, zeta3, zeta_fn
 
 __all__ = [
@@ -77,23 +77,9 @@ def raw_moment(s: float) -> float:
     return gamma_fn(s + 1.0) * zeta_fn(s + 2.0)
 
 
-_LN2 = math.log(2.0)
-
-
-def _log1mexp(x: float) -> float:
-    """ln(1 - e^{-x}) for x > 0 without cancellation.
-
-    Maechler's split ("Accurately computing log(1 - exp(-|a|))", 2012):
-    log(-expm1(-x)) below ln 2, log1p(-exp(-x)) above it.
-    """
-    if x < _LN2:
-        return math.log(-math.expm1(-x))
-    return math.log1p(-math.exp(-x))
-
-
 def raw_moment_quad(s: float, tol: float = 1e-10) -> float:
     """Quadrature oracle for the raw moment."""
-    f = lambda x: -(x ** s) * _log1mexp(x)
+    f = lambda x: x ** s * _g(0.0, x)  # g_0(x) = ln(1/(1-e^{-x}))
     return integrate(f, 0.0, math.inf, tol)
 
 
@@ -105,7 +91,7 @@ def combined_zeta_gamma_residual(s: float, tol: float = 1e-9) -> float:
 
     def f(x: float) -> float:
         e = -math.expm1(-x)  # 1 - e^{-x}, overflow-free for large x
-        return c * x ** (s - 1.0) * math.exp(-x) / e + x ** s * _log1mexp(x)
+        return c * x ** (s - 1.0) * math.exp(-x) / e - x ** s * _g(0.0, x)
 
     return integrate(f, 0.0, math.inf, tol)
 

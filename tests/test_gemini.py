@@ -21,13 +21,12 @@ def grid(lo, hi, n=64):
 
 class TestValue:
     def test_self_inverse(self):
-        # g(g(x)) = x on a log grid, for every shape factor
+        # g(g(x)) = x on a log grid, for every shape factor, into the tail
+        # where g(x) ~ (1+a) e^{-x} is near the bottom of binary64
         for a in SHAPE_FACTORS:
             p = GeminiParams(a)
-            for x in grid(1e-3, 20.0):
+            for x in grid(1e-3, 700.0):
                 y = gemini.value(p, float(x))
-                if y <= 1e-8:  # nothing to invert (or hopelessly ill-conditioned)
-                    continue
                 assert gemini.value(p, y) == pytest.approx(float(x), rel=1e-9,
                                                            abs=1e-10)
 
@@ -39,11 +38,52 @@ class TestValue:
             assert gemini.value(p, float(x)) == pytest.approx(ref, rel=1e-13)
 
     def test_fundamental_form(self):
-        # a = 1: g(x) = ln(coth(x/2))
+        # a = 1: g(x) = ln(coth(x/2)) = 2 artanh(e^{-x}), taken from mpmath:
+        # log(1/tanh(x/2)) in binary64 is itself thousands of ulps off beyond x ~ 5
         p = GeminiParams(1.0)
-        for x in grid(1e-2, 10.0):
-            assert gemini.value(p, float(x)) == pytest.approx(
-                math.log(1.0 / math.tanh(float(x) / 2.0)), rel=1e-13)
+        with mpmath.workdps(40):
+            for x in grid(1e-2, 700.0):
+                ref = float(2 * mpmath.atanh(mpmath.exp(-mpmath.mpf(float(x)))))
+                assert abs(gemini.value(p, float(x)) - ref) <= 2.0 * math.ulp(ref), x
+
+    @staticmethod
+    def _exact_quotient_grid(n=200):
+        # 200 log-spaced u = x/b on [1e-12, 700], rounded to 50 bits so that
+        # x = 2.5 u and x / 2.5 are exact: the rounding of x/b alone moves g by
+        # up to u g'(u)/g(u) ~ u half-ulps, which no evaluator can undo
+        out = []
+        for k in range(n):
+            m, e = math.frexp(1e-12 * (700.0 / 1e-12) ** (k / (n - 1)))
+            out.append(math.ldexp(round(m * 2.0 ** 50), e - 50))
+        return out
+
+    @pytest.mark.parametrize("a", [-1.0 + 1e-12, -0.999, -0.9, -0.5, 0.0, 1.0, 10.0, 1e3, 1e8])
+    def test_against_mpmath(self, a):
+        # value within 2 ulps of b log1p((1+a)/expm1(x/b)) from the tail
+        # g ~ (1+a) e^{-u} to the pole g ~ ln((1+a)/u); symmetric_partner is g_a
+        with mpmath.workdps(40):
+            am = 1 + mpmath.mpf(a)
+            for u in self._exact_quotient_grid():
+                ref = float(mpmath.log1p(am / mpmath.expm1(mpmath.mpf(u))))
+                assert abs(gemini.symmetric_partner(a, u) - ref) <= 2.0 * math.ulp(ref), u
+                for b in (1.0, 2.5):
+                    x = b * u
+                    assert x / b == u
+                    ref = float(b * mpmath.log1p(am / mpmath.expm1(mpmath.mpf(x) / b)))
+                    got = gemini.value(GeminiParams(a, b), x)
+                    assert abs(got - ref) <= 2.0 * math.ulp(ref), (b, u)
+
+    # mpmath values (40 digits, correctly rounded) in the tail g ~ (1+a) e^{-x},
+    # and where the log1p argument leaves binary64 (a near DBL_MAX; x/b underflows)
+    @pytest.mark.parametrize("a, b, x, ref", [
+        (0.0, 1.0, 40.0, 4.248354255291589e-18),
+        (-0.5, 1.0, 38.0, 1.5695663960240148e-17),
+        (1.0, 1.0, 30.0, 1.871524593768035e-13),
+        (1.7e308, 1.0, 1e-10, 732.7526878231187),
+        (709.78, 1.4222345118556956e16, 2.225073858507203e-309, 1.073017566859879e19),
+    ])
+    def test_spot_values(self, a, b, x, ref):
+        assert abs(gemini.value(GeminiParams(a, b), x) - ref) <= 2.0 * math.ulp(ref)
 
     @pytest.mark.parametrize("x", [5e-324, 1e-17, 1e-10, 1.0, 30.0, 1e300, math.inf])
     def test_completely_degenerate_member_is_zero(self, x):
@@ -149,6 +189,25 @@ class TestFixedPoint:
         x0 = gemini.fixed_point(a)
         assert gemini.symmetric_partner(a, x0) == pytest.approx(x0, rel=1e-12)
 
+    @pytest.mark.parametrize("a, x1, ref", [
+        (-0.9, 5.0, 0.000678135504764756),
+        (-0.9, 30.0, 9.357622968841005e-15),
+        (1.0, 710.0, 8.95257245135026e-309),
+        (1e308, 715.0, 0.003011558635781259),
+        (1.7e308, 712.0, 0.09802096495311731),
+        (1.0, 5e-324, 745.1332191019412),
+        (-1.0, 5e-324, 0.0),
+    ])
+    def test_partner_spot_values(self, a, x1, ref):
+        # mpmath values of g_a(x1) in the tail, where e^x1 overflows (a e^{-x1}
+        # is not small for a near DBL_MAX), and where x1 is subnormal
+        assert abs(gemini.symmetric_partner(a, x1) - ref) <= 2.0 * math.ulp(ref)
+
+    @pytest.mark.parametrize("x1", [0.0, -1.0, -5e-324])
+    def test_partner_domain(self, x1):
+        with pytest.raises(ValueError, match=r"symmetric_partner\(.*x1 > 0"):
+            gemini.symmetric_partner(1.0, x1)
+
 
 class TestAreaDecomposition:
     def test_parts_sum(self):
@@ -238,6 +297,22 @@ class TestRotatedDegenerate:
             num = (gemini.rotated_antiderivative(x + h)
                    - gemini.rotated_antiderivative(x - h)) / (2.0 * h)
             assert num == pytest.approx(gemini.rotated_degenerate(x), abs=1e-8)
+
+    def test_antiderivative_against_mpmath(self):
+        # Li2(-e^{-x sqrt2}) + x^2/2 within 2 ulps on [-501, -1e-6], where the
+        # inversion formula evaluates it
+        with mpmath.workdps(40):
+            for t in grid(1e-6, 501.0, 200):
+                xm = -mpmath.mpf(float(t))
+                ref = float(mpmath.polylog(2, -mpmath.exp(-mpmath.sqrt(2) * xm)) + xm * xm / 2)
+                assert abs(gemini.rotated_antiderivative(-float(t)) - ref) <= 2.0 * math.ulp(ref), t
+
+    @pytest.mark.parametrize("x, ref", [(-503.0, -126506.14493406685), (-1e100, -5e199)])
+    def test_antiderivative_where_exp_overflows(self, x, ref):
+        # e^{-x sqrt2} overflows below x ~ -502, the value only where x^2/2 does
+        assert abs(gemini.rotated_antiderivative(x) - ref) <= 2.0 * math.ulp(ref)
+        with pytest.raises(ValueError, match="overflows binary64"):
+            gemini.rotated_antiderivative(-2e154)
 
 
 class TestInversePairs:
