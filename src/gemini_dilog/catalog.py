@@ -146,31 +146,31 @@ class VerificationReport:
 
 
 def _axis_values(ps: ParamSpec) -> list:
-    import numpy as np  # only sampling needs numpy; importing the package does not
+    from ._sampling import geomspace, linspace
 
     if ps.sampling == "integer":
         return [float(v) for v in range(int(ps.lower), int(ps.upper) + 1)]
     n = max(2, ps.count - len(ps.edges))
     if ps.sampling == "linear":
-        base = np.linspace(ps.lower, ps.upper, n)
+        base = linspace(ps.lower, ps.upper, n)
     elif ps.lower > 0.0:
-        base = np.geomspace(ps.lower, ps.upper, n)
+        base = geomspace(ps.lower, ps.upper, n)
     else:
         # shifted log grid: dense near the (possibly non-positive) lower edge
-        base = ps.lower + (ps.upper - ps.lower) * np.geomspace(1e-3, 1.0, n)
-    vals = list(ps.edges) + [float(v) for v in base]
+        base = (ps.lower + (ps.upper - ps.lower) * g for g in geomspace(1e-3, 1.0, n))
+    vals = list(ps.edges) + list(base)
     return list(dict.fromkeys(vals))
 
 
 def _random_point(ps: ParamSpec, rng) -> float:
-    """One uniform draw on the axis from ``rng``, a numpy ``Generator``."""
+    """One uniform draw on the axis from ``rng``, a ``_sampling.Generator``."""
     if ps.sampling == "integer":
         return float(rng.integers(int(ps.lower), int(ps.upper) + 1))
-    return ps.lower + (ps.upper - ps.lower) * float(rng.random())
+    return ps.lower + (ps.upper - ps.lower) * rng.random()
 
 
 def _sample_points(entry: IdentityEntry, seed: int) -> list:
-    import numpy as np
+    from ._sampling import Generator
 
     if not entry.params:
         return [()]
@@ -178,7 +178,7 @@ def _sample_points(entry: IdentityEntry, seed: int) -> list:
     pts = [()]
     for ax in axes:
         pts = [p + (v,) for p in pts for v in ax]
-    rng = np.random.default_rng(crc32(entry.id.encode()) ^ (seed & 0xFFFFFFFF))
+    rng = Generator(crc32(entry.id.encode()) ^ (seed & 0xFFFFFFFF))
     for _ in range(10):
         pts.append(tuple(_random_point(ps, rng) for ps in entry.params))
     return pts

@@ -14,7 +14,7 @@ import sys
 
 # Each subcommand imports the modules it runs, so a cold process compiles
 # only those: ``eval`` loads polylog alone, and only verify and plot-data
-# load numpy.
+# load ``_sampling``.
 
 # eval function -> (argument count, argument type, call on the polylog module);
 # every value prints through _fmt_complex, which prints a real one as _fmt does
@@ -28,7 +28,7 @@ _EVAL = {
     "unit-circle": (2, int, lambda pl, p, q: pl.li2_unit_circle(p, q)),
 }
 _PLOT_SERIES = ("r-of-a", "atot-p", "geminoid-profile")
-_MAX_POINTS = 10 ** 7  # plot-data builds its grid in memory: 80 MB at this bound
+_MAX_POINTS = 10 ** 7  # plot-data streams its grid: this bounds run time, not memory
 
 
 def _fmt(x: float) -> str:
@@ -229,24 +229,24 @@ def _plot_command(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(f"--points must be at most {_MAX_POINTS}, got {n}")
     import csv
 
-    import numpy as np  # the grids; no other subcommand needs numpy
-
     from . import gemini, geometry
+    from ._sampling import geomspace
 
     w = csv.writer(sys.stdout, lineterminator="\n")
     if ns.series == "r-of-a":
         w.writerow(["a", "r"])
-        for a in -1.0 + (101.0 - 1e-2) * np.geomspace(1e-4, 1.0, n):
+        for g in geomspace(1e-4, 1.0, n):
+            a = -1.0 + (101.0 - 1e-2) * g
             w.writerow([f"{a:.15g}", f"{gemini.area_ratio_r(a):.15g}"])
     elif ns.series == "atot-p":
         w.writerow(["p", "A"])
-        for p in np.geomspace(1.1, 10.0, n):
-            w.writerow([f"{p:.15g}", f"{gemini.A_of_p(float(p)):.15g}"])
+        for p in geomspace(1.1, 10.0, n):
+            w.writerow([f"{p:.15g}", f"{gemini.A_of_p(p):.15g}"])
     else:  # geminoid-profile
         w.writerow(["x", "kappa1", "arc_length", "theta", "R1", "R2",
                     "gauss_curvature"])
-        for x in np.geomspace(0.05, 5.0, n):
-            pr = geometry.curvature_profile(float(x))
+        for x in geomspace(0.05, 5.0, n):
+            pr = geometry.curvature_profile(x)
             w.writerow([f"{v:.15g}" for v in
                         (pr.x, pr.kappa1, pr.arc_length, pr.theta, pr.R1, pr.R2,
                          pr.gauss_curvature)])

@@ -134,14 +134,14 @@ def test_unknown_attribute_of_the_package():
 
 
 # a process compiles every module it imports, so each subcommand loads only
-# the modules it runs
+# the modules it runs, and none of them loads numpy
 _LOADED = """
 import contextlib, io, json, sys
 from gemini_dilog import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(json.loads(sys.argv[1]))
 print(code, sorted(m[len("gemini_dilog."):] for m in sys.modules
-                   if m.startswith("gemini_dilog.")))
+                   if m.startswith("gemini_dilog.")), "numpy" in sys.modules)
 """
 
 
@@ -152,11 +152,15 @@ print(code, sorted(m[len("gemini_dilog."):] for m in sys.modules
     (["volume", "1", "--b", "1.2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
     (["moment", "2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
     (["constants", "--format", "json"], ["analysis", "cli", "polylog"]),
-], ids=["eval", "area", "median", "volume", "moment", "constants"])
+    (["verify", "--group", "G3"],
+     ["_sampling", "analysis", "catalog", "cli", "gemini", "geometry", "polylog"]),
+    (["plot-data", "atot-p", "--points", "5"],
+     ["_sampling", "analysis", "cli", "gemini", "geometry", "polylog"]),
+], ids=["eval", "area", "median", "volume", "moment", "constants", "verify", "plot-data"])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     done = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, f"0 {loaded}\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"0 {loaded} False\n", "")
 
 
 def test_import_leaves_mpmath_out():
@@ -179,6 +183,7 @@ def test_import_and_eval_leave_numpy_and_scipy_out():
 _EVERY_SUBCOMMAND = [
     ["eval", "li2", "0.5"], ["eval", "li2c", "0.3", "0.4"], ["area", "0.5"],
     ["median", "1"], ["volume", "2"], ["moment", "1.5"], ["constants"],
+    ["plot-data", "r-of-a", "--points", "5"], ["plot-data", "atot-p", "--points", "5"],
     ["plot-data", "geminoid-profile", "--points", "5"], ["verify", "--format", "json"],
 ]
 
@@ -197,10 +202,10 @@ print(json.dumps(rows))
 
 
 def test_every_subcommand_runs_without_scipy():
-    # scipy is a test oracle only: blocking its import changes no output
+    # scipy and numpy are test oracles only: blocking their import changes no output
     argvs = json.dumps(_EVERY_SUBCOMMAND)
     outputs = []
-    for prelude in ("", "import sys; sys.modules['scipy'] = None\n"):
+    for prelude in ("", "import sys; sys.modules['scipy'] = sys.modules['numpy'] = None\n"):
         done = subprocess.run([sys.executable, "-c", prelude + _RUN_ALL, argvs],
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, "")

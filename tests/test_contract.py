@@ -4,7 +4,8 @@ Every public function of ``polylog``, ``gemini`` and ``geometry``, and the
 algebraic solvers of ``analysis``, returns finite floats or complexes (tuples
 and dataclass fields included) or raises ``ValueError`` (which ``BracketError``
 subclasses) or ``AccuracyError``.  Nothing else may escape: no
-``ZeroDivisionError``, no ``OverflowError``, no silent inf or nan.
+``ZeroDivisionError``, no ``OverflowError``, no silent inf or nan.  The
+catalog's sampling takes any Python int as its seed and never raises.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gemini_dilog import analysis, gemini, geometry, polylog
+from gemini_dilog import analysis, catalog, gemini, geometry, polylog
 from gemini_dilog.analysis import AccuracyError
 from gemini_dilog.gemini import GeminiParams
 
@@ -157,3 +158,19 @@ def test_reproduced_inputs(fn, args):
 def test_error_contract(fn, data):
     args = data.draw(st.tuples(*CALLS[fn]))
     _keeps_contract(fn, args)
+
+
+# seeds beyond 32 bits, negative and huge: only the low 32 bits are used
+SEED = st.one_of(st.integers(), st.sampled_from(
+    (0, -1, -5, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, -2 ** 100, 10 ** 30)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(entry=st.sampled_from([e for e in catalog.builtin_catalog() if e.params]), seed=SEED)
+def test_catalog_sampling_takes_any_seed(entry, seed):
+    pts = catalog._sample_points(entry, seed)
+    assert pts == catalog._sample_points(entry, seed & 0xFFFFFFFF)
+    for pt in pts:
+        assert len(pt) == len(entry.params)
+        for v, ps in zip(pt, entry.params):
+            assert type(v) is float and ps.lower <= v <= ps.upper, (entry.id, ps.name, v)

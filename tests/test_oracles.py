@@ -1,23 +1,27 @@
-"""scipy and mpmath as oracles for the pure-Python numerics.
+"""scipy, numpy and mpmath as oracles for the pure-Python numerics.
 
 ``quadpack`` and ``find_root`` port QUADPACK and scipy's ``brentq.c`` line
 for line, so they must reproduce scipy bit for bit; ``zeta_fn`` must be at
-least as accurate as ``scipy.special.zeta`` against mpmath.
+least as accurate as ``scipy.special.zeta`` against mpmath.  ``_sampling``
+ports numpy's default generator and grids: its integer-arithmetic draws and
+its ``linspace`` must equal numpy's exactly, its ``geomspace`` within 1 ulp.
 """
 
 import math
 import random
 import sys
 import warnings
+from zlib import crc32
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 from scipy import optimize as sci_optimize
 from scipy import special as sci_special
 from scipy.integrate import _quad_vec
 
-from gemini_dilog import analysis, catalog, gemini, geometry, polylog, quadpack
+from gemini_dilog import _sampling, analysis, catalog, gemini, geometry, polylog, quadpack
 from gemini_dilog.analysis import AccuracyError, integrate
 
 
@@ -284,3 +288,84 @@ class TestZeta:
     def test_large_arguments(self):
         for s in (61.0, 400.0, 1e10, 1e300):
             assert polylog.zeta_fn(s) == 1.0
+
+
+class TestSamplingAgainstNumpy:
+    @pytest.mark.parametrize("s", [1, 42, 12345, 2 ** 31 - 1, 0, 2 ** 32 - 1])
+    def test_catalog_draws_equal_default_rng(self, s):
+        # every draw of _sample_points, in its order, for every catalog entry
+        for entry in catalog.builtin_catalog():
+            word = crc32(entry.id.encode()) ^ s
+            ours, ref = _sampling.Generator(word), np.random.default_rng(word)
+            for _ in range(10):
+                for ps in entry.params:
+                    if ps.sampling == "integer":
+                        lo, hi = int(ps.lower), int(ps.upper) + 1
+                        assert ours.integers(lo, hi) == ref.integers(lo, hi), entry.id
+                    else:
+                        assert ours.random() == ref.random(), entry.id
+
+    def test_interleaved_draws_equal_default_rng(self):
+        # integer draws share one 64-bit output between two 32-bit halves, and
+        # wide ranges exercise Lemire's rejection; random() takes whole outputs
+        rng = random.Random(13)
+        for word in [0, 1, 2 ** 32 - 1] + [rng.getrandbits(32) for _ in range(3000)]:
+            ours, ref = _sampling.Generator(word), np.random.default_rng(word)
+            for _ in range(12):
+                if rng.random() < 0.4:
+                    assert ours.random() == ref.random(), word
+                else:
+                    lo = rng.randint(-10, 10)
+                    hi = lo + rng.choice((1, 2, 3, 8, 1000, 2 ** 31 + 1, 2 ** 32 - 1))
+                    assert ours.integers(lo, hi) == ref.integers(lo, hi), (word, lo, hi)
+
+    @pytest.mark.parametrize("upper", [2 ** 32 - 1, 0], ids=["at-threshold", "below"])
+    def test_rejection_threshold_equals_default_rng(self, upper):
+        # over [0, 2**32 - 1) Lemire's threshold is 1: the 32-bit draw 2**32 - 1
+        # leaves 1 and is kept, 0 leaves 0 and is drawn again.  Seeded draws
+        # meet either with probability 2**-32, so both generators get it as
+        # the buffered upper half of their last output
+        ours, ref = _sampling.Generator(42), np.random.default_rng(42)
+        ours._upper = upper
+        ref.bit_generator.state = {**ref.bit_generator.state, "has_uint32": 1, "uinteger": upper}
+        hi = 2 ** 32 - 1
+        assert [ours.integers(0, hi) for _ in range(3)] == [ref.integers(0, hi) for _ in range(3)]
+
+    def test_seed_word_and_range_outside_the_port(self):
+        for word in (-1, 2 ** 32):
+            with pytest.raises(ValueError):
+                _sampling.Generator(word)
+        g = _sampling.Generator(7)
+        for lo, hi in ((0, 0), (3, 2), (0, 2 ** 32)):
+            with pytest.raises(ValueError):
+                g.integers(lo, hi)
+
+    def test_linspace_bit_identical(self):
+        rng = random.Random(14)
+        grids = [(ps.lower, ps.upper, max(2, ps.count - len(ps.edges)))
+                 for e in catalog.builtin_catalog() for ps in e.params
+                 if ps.sampling == "linear"]
+        for _ in range(2000):
+            lo = rng.uniform(-100.0, 100.0)
+            grids.append((lo, lo + rng.uniform(-50.0, 200.0), rng.randint(2, 300)))
+        for lo, hi, n in grids:
+            assert list(_sampling.linspace(lo, hi, n)) == np.linspace(lo, hi, n).tolist()
+
+    def test_geomspace_pins_endpoints_within_one_ulp(self):
+        # every log grid the package builds: the catalog's log axes, their
+        # shifted form, and plot-data's three series at seeded sizes.  numpy's
+        # SIMD power and log10 are not libm's, so a point may round the
+        # other way
+        grids = []
+        for ps in (ps for e in catalog.builtin_catalog() for ps in e.params):
+            if ps.sampling == "log":
+                lo, hi = (ps.lower, ps.upper) if ps.lower > 0.0 else (1e-3, 1.0)
+                grids.append((lo, hi, max(2, ps.count - len(ps.edges))))
+        rng = random.Random(15)
+        for lo, hi in ((1e-4, 1.0), (1.1, 10.0), (0.05, 5.0)):
+            grids += [(lo, hi, n) for n in [2, 3, 200] + rng.sample(range(4, 3000), 30)]
+        for lo, hi, n in grids:
+            ours, ref = list(_sampling.geomspace(lo, hi, n)), np.geomspace(lo, hi, n).tolist()
+            assert len(ours) == n and ours[0] == lo and ours[-1] == hi
+            for x, y in zip(ours, ref):
+                assert abs(x - y) <= math.ulp(y), (lo, hi, n, x, y)
