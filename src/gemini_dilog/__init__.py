@@ -11,7 +11,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset(
-    ("analysis", "catalog", "cli", "gemini", "geometry", "polylog", "quadpack"))
+    ("analysis", "catalog", "cli", "gemini", "geometry", "polylog"))
 
 
 def __getattr__(name: str):

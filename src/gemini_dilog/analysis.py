@@ -42,44 +42,164 @@ class BracketError(ValueError):
     """Root bracket does not straddle a sign change."""
 
 
+# Double-exponential quadrature (Takahasi and Mori, Publ. RIMS 9 (1974) 721;
+# Mori and Sugihara, J. Comput. Appl. Math. 127 (2001) 287): the trapezoid
+# rule in t after x = mid + c*tanh(pi/2 sinh t) on [lo, hi] (tanh-sinh) or
+# x = lo + exp(pi/2 sinh t) on [lo, inf) (exp-sinh), with step h = 2^-k.
+_HALF_PI = 0.5 * math.pi
+_EPS = sys.float_info.epsilon
+_MAX_LEVEL = 8
+
+
+def _tanh_sinh_node(t: float):
+    # 1 - tanh(u) = 2q/(1+q) with q = e^(-2u): the distance from the nearer
+    # end over c, computed without cancelling against 1
+    u = _HALF_PI * math.sinh(t)
+    q = math.exp(-2.0 * u)
+    if q < sys.float_info.min:
+        return None
+    node = (2.0 * q / (1.0 + q), _HALF_PI * math.cosh(t) * 4.0 * q / (1.0 + q) ** 2)
+    return node, node
+
+
+def _exp_sinh_node(t: float):
+    u = _HALF_PI * math.sinh(t)
+    small = math.exp(-u)
+    if small < sys.float_info.min:  # e^u <= 1/min stays finite as well
+        return None
+    big, v = math.exp(u), _HALF_PI * math.cosh(t)
+    return (big, big * v), (small, small * v)
+
+
+# a rule is its node function and the levels built so far
+_TANH_SINH = (_tanh_sinh_node, [])
+_EXP_SINH = (_exp_sinh_node, [])
+
+
+def _level(rule: tuple, k: int) -> tuple:
+    """Level k of a rule, built on first use: (right, left) tuples of
+    (offset, weight) at t = +-j*2^-k outward, odd j only for k > 0."""
+    node, cache = rule
+    while len(cache) <= k:
+        level = len(cache)
+        rows, j = [], 1
+        while (row := node(math.ldexp(j, -level))) is not None:
+            rows.append(row)
+            j += 1 if level == 0 else 2
+        cache.append((tuple(r for r, _ in rows), tuple(l for _, l in rows)))
+    return cache[k]
+
+
+def _finite(f: Callable[[float], float], x: float) -> float:
+    y = f(x)
+    if not math.isfinite(y):
+        raise AccuracyError(f"integrand is {y!r} at x = {x!r}", math.inf)
+    return y
+
+
 def integrate(
     f: Callable[[float], float], lo: float = 0.0, hi: float = math.inf, tol: float = 1e-10
 ) -> float:
     """Integral of ``f`` over [lo, hi] (``hi`` may be ``math.inf``) to absolute error ``tol``.
 
-    One QUADPACK call (adaptive Gauss-Kronrod with epsilon-algorithm
-    extrapolation; ``quadpack.qagse`` on a finite interval, ``qagie`` on
-    [lo, inf)) run to the pure absolute tolerance, with no relative
-    stopping rule.  QUADPACK never samples an endpoint, so an integrable
-    singularity there, such as ln x at 0, needs no special treatment.
-    Raises ``ValueError`` for ``tol <= 0`` (or so small that ``tol/4``
-    underflows), a non-finite ``lo`` and ``hi`` = -inf or nan, and
-    ``AccuracyError`` (carrying QUADPACK's error estimate) when that
-    estimate exceeds ``tol`` or when ``f`` raises ``ArithmeticError`` or
+    Double-exponential quadrature: tanh-sinh on a finite interval, exp-sinh
+    on [lo, inf), halving the step from h = 1 to 2^-8, each level adding
+    only its new nodes.  It suits f analytic on the open interval, with
+    integrable singularities at the ends such as ln x at 0: no end is ever
+    sampled, and a tanh-sinh node is stored as its distance from the nearer
+    end, so nothing cancels next to one.  The window in t is fixed at h = 1,
+    walking outward until two consecutive terms fall below eps*|sum|; where
+    a node would reach an end or leave binary64 instead, the window ends at
+    the last t = j/2^8 inside and the term there joins the error estimate.
+    From h = 1/4 on, S_h is accepted when the estimate max(|S_h - S_2h|,
+    |S_2h - S_4h|^2 / int|f|, 50*eps*int|f|, that term) is at most ``tol``.
+    A reversed interval gives the negated integral; lo == hi gives 0.0
+    without calling f.  Raises ``ValueError`` for ``tol`` not a positive
+    normal float, a non-finite ``lo`` and ``hi`` = -inf or nan, and
+    ``AccuracyError`` carrying the estimate when it exceeds ``tol`` (kinks
+    and fast oscillation converge too slowly), or carrying inf when f is not
+    finite at a node, naming it, or raises ``ArithmeticError`` or
     ``ValueError``.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    epsabs = tol / 4.0
-    if epsabs == 0.0:
-        raise ValueError(f"tol {tol!r} underflows binary64")
+    if not (tol >= sys.float_info.min):
+        raise ValueError(f"tol must be a positive normal float, got {tol!r}")
     if not math.isfinite(lo) or math.isnan(hi) or hi == -math.inf:
         raise ValueError(f"integrate needs finite lo and hi or hi = inf, got [{lo}, {hi}]")
-    from . import quadpack  # loaded here: of the subcommands, only verify integrates
-
+    if hi < lo:
+        return -integrate(f, hi, lo, tol)
+    if hi == lo:
+        return 0.0
     try:
-        # roundoff flags (ier > 0) need no separate handling: the error
-        # estimate is checked below
-        if hi == math.inf:
-            value, err, _, _ = quadpack.qagie(f, lo, epsabs)
-        else:
-            value, err, _, _ = quadpack.qagse(f, lo, hi, epsabs)
+        return _double_exponential(f, lo, hi, tol)
     except (ArithmeticError, ValueError) as exc:
         raise AccuracyError(f"integrand failed: {exc}", math.inf) from exc
-    if not (err <= tol and math.isfinite(value)):
-        raise AccuracyError(
-            f"quadrature error estimate {err:.3g} exceeds tolerance {tol:.3g}", err)
-    return value
+
+
+def _double_exponential(f: Callable[[float], float], lo: float, hi: float,
+                        tol: float) -> float:
+    if hi == math.inf:
+        rule, scale = _EXP_SINH, 1.0
+        sides = ((lo, 1.0), (lo, 1.0))  # x = lo + offset
+    else:
+        rule, scale = _TANH_SINH, 0.5 * hi - 0.5 * lo
+        sides = ((lo, scale), (hi, -scale))  # x = end +- c*offset
+    node = rule[0]
+    centre = lo + scale
+    if not lo < centre < hi:
+        raise AccuracyError(f"no binary64 point inside [{lo!r}, {hi!r}]", math.inf)
+    total = _HALF_PI * _finite(f, centre)
+    absum = abs(total)
+    windows = []  # per side, the last t inside, in units of 2^-8
+    tail = 0.0  # |w*f| at the last t inside where an end or binary64 cuts a side
+    for side, ((x0, step), nodes) in enumerate(zip(sides, _level(rule, 0))):
+        n = small = 0
+        for offset, w in nodes:
+            x = x0 + step * offset
+            if not lo < x < hi:
+                break
+            y = w * _finite(f, x)
+            total += y
+            absum += abs(y)
+            n += 1
+            small = small + 1 if abs(y) < _EPS * abs(total) else 0
+            if small == 2:
+                break
+        j = n << _MAX_LEVEL
+        if small < 2:  # cut before t = n + 1: find the last t = j/2^8 inside
+            step_j = 1 << _MAX_LEVEL
+            while step_j := step_j >> 1:
+                row = node(math.ldexp(j + step_j, -_MAX_LEVEL))
+                if row is not None and lo < x0 + step * row[side][0] < hi:
+                    j += step_j
+            offset, w = node(math.ldexp(j, -_MAX_LEVEL))[side]
+            # the term there bounds the part of the integral beyond it
+            tail += scale * abs(w * _finite(f, x0 + step * offset))
+        windows.append(j)
+    prev, d_prev = scale * total, 0.0
+    for k in range(1, _MAX_LEVEL + 1):
+        # the new nodes t = j/2^k, j odd, inside each window
+        level = [(x0, step, nodes[:((j >> (_MAX_LEVEL - k)) + 1) >> 1])
+                 for (x0, step), nodes, j in zip(sides, _level(rule, k), windows)]
+        for x0, step, nodes in level:
+            for offset, w in nodes:
+                y = w * f(x0 + step * offset)
+                total += y
+                absum += abs(y)
+        h = math.ldexp(scale, -k)
+        s = h * total
+        if not math.isfinite(s):  # name the node, if f is to blame
+            for x0, step, nodes in level:
+                for offset, _ in nodes:
+                    _finite(f, x0 + step * offset)
+            raise AccuracyError(f"quadrature sum is {s!r}", math.inf)
+        d, area = abs(s - prev), h * absum
+        # the error of S_(k-1) squares with each halving, so S_k - S_(k-1)
+        # below (S_(k-1) - S_(k-2))^2/int|f| is an accidental agreement
+        err = max(d, d_prev * d_prev / area if area else 0.0, 50.0 * _EPS * area, tail)
+        if k >= 2 and err <= tol:
+            return s
+        prev, d_prev = s, d
+    raise AccuracyError(f"quadrature error estimate {err:.3g} exceeds tolerance {tol:.3g}", err)
 
 
 # the one stopping rule: an absolute eps plus brentq's smallest relative

@@ -45,7 +45,7 @@ class TestIntegrate:
                 integrate(math.sin, 0.0, 1.0, tol)
 
     def test_raises_when_estimate_misses(self):
-        # int_0^1 dx/x diverges; QUADPACK's estimate says so
+        # int_0^1 dx/x diverges; the error estimate says so
         with pytest.raises(AccuracyError) as info:
             integrate(lambda x: 1.0 / x, 0.0, 1.0)
         assert info.value.estimate > 1e-10
@@ -54,6 +54,21 @@ class TestIntegrate:
         # ln(x - 1) is undefined on [0, 1): math raises ValueError
         with pytest.raises(AccuracyError):
             integrate(lambda x: math.log(x - 1.0), 0.0, 2.0)
+
+    def test_non_finite_integrand_names_x(self):
+        with pytest.raises(AccuracyError, match=r"integrand is nan at x = 0\.5$") as info:
+            integrate(lambda x: math.nan, 0.0, 1.0)
+        assert info.value.estimate == math.inf
+        # inf beyond 0.9 first shows at the level-0 node 1 - (1 - tanh(pi/2 sinh 1))/2
+        with pytest.raises(AccuracyError, match=r"integrand is inf at x = 0\.9756") as info:
+            integrate(lambda x: math.inf if x > 0.9 else 1.0, 0.0, 1.0)
+        assert info.value.estimate == math.inf
+
+    def test_reversed_and_empty_intervals(self):
+        assert integrate(math.sin, math.pi, 0.0) == -integrate(math.sin, 0.0, math.pi)
+        seen = []
+        assert integrate(lambda x: seen.append(x) or 1.0, 2.0, 2.0) == 0.0
+        assert seen == []
 
 
 class TestQuadpackConverges:

@@ -101,7 +101,7 @@ def test_python_dash_m_runs_main():
     assert done.stderr == ""
 
 
-_SUBMODULES = ("analysis", "catalog", "cli", "gemini", "geometry", "polylog", "quadpack")
+_SUBMODULES = ("analysis", "catalog", "cli", "gemini", "geometry", "polylog")
 
 # a bare import loads no submodule; then each one resolves on first access,
 # by attribute or by from-import, whichever comes first
@@ -152,7 +152,7 @@ print(code, sorted(m[len("gemini_dilog."):] for m in sys.modules
     (["volume", "1", "--b", "1.2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
     (["moment", "2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
     (["constants", "--format", "json"], ["analysis", "cli", "polylog"]),
-    (["verify", "--group", "G3"],
+    (["verify", "--group", "G14"],  # quadrature on [lo, hi] and on [lo, inf)
      ["_sampling", "analysis", "catalog", "cli", "gemini", "geometry", "polylog"]),
     (["plot-data", "atot-p", "--points", "5"],
      ["_sampling", "analysis", "cli", "gemini", "geometry", "polylog"]),

@@ -6,14 +6,17 @@ and dataclass fields included) or raises ``ValueError`` (which ``BracketError``
 subclasses) or ``AccuracyError``.  Nothing else may escape: no
 ``ZeroDivisionError``, no ``OverflowError``, no silent inf or nan.  The
 catalog's sampling takes any Python int as its seed and never raises.
+``integrate`` returns a value within its tolerance of the closed form, or
+raises ``AccuracyError`` with an estimate above the tolerance.
 """
 
 import dataclasses
 import math
 import sys
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gemini_dilog import analysis, catalog, gemini, geometry, polylog
 from gemini_dilog.analysis import AccuracyError
@@ -82,7 +85,7 @@ P = st.tuples(F, F)
 C = st.one_of(st.complex_numbers(allow_nan=True, allow_infinity=True), st.builds(complex, F, F))
 # li2_unit_circle reduces p modulo 2q in integers; q >= 2^1000 has its own path
 I = st.one_of(st.integers(), st.sampled_from((0, 1, -1, 2 ** 1000, -2 ** 1000, 2 ** 1100)))
-# a small tol costs QUADPACK its whole subdivision limit; draw few of those
+# a small tol costs the quadrature its finest level; draw few of those
 TOL = st.one_of(st.sampled_from((1e-9, 1e-12, 0.0, -1.0, math.inf, math.nan, 5e-324)),
                 st.floats(min_value=1e-14, max_value=1.0))
 
@@ -174,3 +177,50 @@ def test_catalog_sampling_takes_any_seed(entry, seed):
         assert len(pt) == len(entry.params)
         for v, ps in zip(pt, entry.params):
             assert type(v) is float and ps.lower <= v <= ps.upper, (entry.id, ps.name, v)
+
+
+# integrate is fuzzed through integrands with closed forms: x^alpha e^(-beta x)
+# on [lo, inf), and x^alpha (1-x)^gamma between two points of [0, 1] in either
+# order, singular at 0 or 1 for negative exponents
+EXPONENT = st.floats(min_value=-0.95, max_value=4.0)
+UNIT = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from((0.0, 1.0)))
+QUAD_TOL = st.floats(min_value=1e-12, max_value=1e-3)
+
+
+def _integrate_keeps_contract(f, lo, hi, tol, exact) -> None:
+    """integrate(f, lo, hi, tol) is within tol of exact or raises AccuracyError
+    with an estimate above tol; f is only called strictly inside."""
+    a, b = min(lo, hi), max(lo, hi)
+
+    def inside(x):
+        assert a < x < b, (lo, hi, x)
+        return f(x)
+
+    try:
+        got = analysis.integrate(inside, lo, hi, tol)
+    except AccuracyError as exc:
+        assert exc.estimate > tol, (lo, hi, tol, exc.estimate)
+        return
+    assert abs(got - exact) <= tol, (lo, hi, tol, got, exact)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=EXPONENT, beta=st.floats(min_value=0.1, max_value=10.0),
+       lo=st.one_of(st.floats(min_value=0.0, max_value=30.0), st.just(0.0)), tol=QUAD_TOL)
+def test_integrate_exponential_family(alpha, beta, lo, tol):
+    with mpmath.workdps(30):
+        exact = float(mpmath.gammainc(alpha + 1, beta * mpmath.mpf(lo))
+                      / mpmath.mpf(beta) ** (alpha + 1))
+    _integrate_keeps_contract(lambda x: x ** alpha * math.exp(-beta * x),
+                              lo, math.inf, tol, exact)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(alpha=EXPONENT, gamma=EXPONENT, lo=UNIT, hi=UNIT, tol=QUAD_TOL)
+# (1-x)^gamma puts mass within an ulp of 1, where no binary64 x lies
+@example(alpha=0.0, gamma=-0.5, lo=0.0, hi=1.0, tol=1e-8)
+@example(alpha=-0.5, gamma=-0.8, lo=1.0, hi=0.0, tol=1e-4)
+def test_integrate_beta_family(alpha, gamma, lo, hi, tol):
+    with mpmath.workdps(30):
+        exact = float(mpmath.betainc(alpha + 1, gamma + 1, lo, hi))
+    _integrate_keeps_contract(lambda x: x ** alpha * (1.0 - x) ** gamma, lo, hi, tol, exact)

@@ -76,12 +76,12 @@ class TestMoments:
         with mpmath.workdps(30):
             ref = float(mpmath.gamma(s + 1) * mpmath.zeta(s + 2))
         # 1e-11 absolute while the moment is below 100 (s < 4.9); beyond that
-        # QUADPACK's roundoff floor, 50 eps int|f|, needs a relative 1e-13
+        # the quadrature's roundoff floor, 50 eps int|f|, needs a relative 1e-13
         tol = max(1e-11, 1e-13 * ref)
         assert abs(geometry.raw_moment_quad(s, tol=tol) - ref) <= tol
 
     def test_quadrature_below_roundoff_floor_raises(self):
-        # 1e-11 is below QUADPACK's floor 50 eps int|f| ~ 4.5e-10 at s = 8
+        # 1e-11 is below the roundoff floor 50 eps int|f| ~ 4.5e-10 at s = 8
         with pytest.raises(AccuracyError) as info:
             geometry.raw_moment_quad(8.0, tol=1e-11)
         assert info.value.estimate > 1e-11
@@ -96,7 +96,7 @@ class TestMoments:
 
     def test_combined_integral_below_roundoff_floor_raises(self):
         # the exact value is 0, but binary64 rounding of the integrand leaves
-        # QUADPACK's estimate far above 1e-12 at s = 8
+        # the error estimate far above 1e-12 at s = 8
         with pytest.raises(AccuracyError):
             geometry.combined_zeta_gamma_residual(8.0, tol=1e-12)
 

@@ -1,8 +1,9 @@
 """scipy, numpy and mpmath as oracles for the pure-Python numerics.
 
-``quadpack`` and ``find_root`` port QUADPACK and scipy's ``brentq.c`` line
-for line, so they must reproduce scipy bit for bit; ``zeta_fn`` must be at
-least as accurate as ``scipy.special.zeta`` against mpmath.  ``_sampling``
+``integrate`` must land within its tolerance of mpmath's quadrature of the
+same integrand.  ``find_root`` ports scipy's ``brentq.c`` line for line, so
+it must reproduce scipy bit for bit; ``zeta_fn`` must be at least as
+accurate as ``scipy.special.zeta`` against mpmath.  ``_sampling``
 ports numpy's default generator and grids: its integer-arithmetic draws and
 its ``linspace`` must equal numpy's exactly, its ``geomspace`` within 1 ulp.
 """
@@ -10,34 +11,16 @@ its ``linspace`` must equal numpy's exactly, its ``geomspace`` within 1 ulp.
 import math
 import random
 import sys
-import warnings
 from zlib import crc32
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate as sci_integrate
 from scipy import optimize as sci_optimize
 from scipy import special as sci_special
-from scipy.integrate import _quad_vec
 
-from gemini_dilog import _sampling, analysis, catalog, gemini, geometry, polylog, quadpack
+from gemini_dilog import _sampling, analysis, catalog, gemini, geometry, polylog
 from gemini_dilog.analysis import AccuracyError, integrate
-
-
-def _scipy_quad(f, a, b, epsabs):
-    """(value, abserr, last) of scipy's QUADPACK with epsrel = 0."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sci_integrate.IntegrationWarning)
-        out = sci_integrate.quad(f, a, b, epsabs=epsabs, epsrel=0.0,
-                                 limit=quadpack.LIMIT, full_output=1)
-    return out[0], out[1], out[2]["last"]
-
-
-def _port(f, a, b, epsabs):
-    if b == math.inf:
-        return quadpack.qagie(f, a, epsabs)
-    return quadpack.qagse(f, a, b, epsabs)
 
 
 def _cold_verify_all(seed):
@@ -51,17 +34,12 @@ def _cold_verify_all(seed):
 def verify_calls():
     """Every quadrature and root solve of a cold verify_all(seed=42)."""
     quads, roots = [], []
-    qagse, qagie, find_root = quadpack.qagse, quadpack.qagie, analysis.find_root
+    find_root = analysis.find_root
 
-    def rec_qagse(f, a, b, epsabs):
-        out = qagse(f, a, b, epsabs)
-        quads.append((f, a, b, epsabs, out))
-        return out
-
-    def rec_qagie(f, bound, epsabs):
-        out = qagie(f, bound, epsabs)
-        quads.append((f, bound, math.inf, epsabs, out))
-        return out
+    def rec_integrate(f, lo=0.0, hi=math.inf, tol=1e-10):
+        value = integrate(f, lo, hi, tol)
+        quads.append((f, lo, hi, tol, value))
+        return value
 
     def rec_find_root(f, lo, hi):
         # the bracket Brent ran: with hi = inf, the last of the doubled
@@ -77,8 +55,8 @@ def verify_calls():
         return x
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(quadpack, "qagse", rec_qagse)
-    mp.setattr(quadpack, "qagie", rec_qagie)
+    for module in (catalog, geometry):
+        mp.setattr(module, "integrate", rec_integrate)
     for module in (analysis, catalog, gemini, geometry):
         mp.setattr(module, "find_root", rec_find_root)
     try:
@@ -88,37 +66,52 @@ def verify_calls():
     return quads, roots
 
 
-class TestQuadpackAgainstScipy:
-    def test_every_verify_call_bit_identical(self, verify_calls):
+def _mp_quad(f, lo, hi):
+    """mpmath's quadrature (30 digits) of the binary64 integrand f.  Points
+    that round onto an end or beyond it, where f may be undefined, count 0:
+    they span less than an ulp."""
+    def g(t):
+        x = float(t)
+        return f(x) if lo < x < hi else 0.0
+
+    with mpmath.workdps(30):
+        return float(mpmath.quad(g, [lo, hi]))
+
+
+class TestIntegrateAgainstMpmath:
+    def test_every_verify_call_within_tol(self, verify_calls):
         quads, _ = verify_calls
         assert len(quads) > 50
-        for f, a, b, epsabs, (value, abserr, last, _) in quads:
-            ref = _scipy_quad(f, a, b, epsabs)
-            assert (value, abserr, last) == ref, (a, b, epsabs)
+        for f, lo, hi, tol, value in quads:
+            assert abs(value - _mp_quad(f, lo, hi)) <= tol, (lo, hi, tol)
 
-    @pytest.mark.parametrize("f, a, b, epsabs", [
-        (lambda x: -math.log(x), 0.0, 1.0, 2.5e-11),  # ln x endpoint, extrapolated
-        (lambda x: math.log(x) ** 2 * x ** -0.9, 0.0, 1.0, 1e-6),
-        (lambda x: -math.log(-math.expm1(-x)), 0.0, math.inf, 2.5e-13),
-        (lambda x: 1.0 / (1.0 + x * x), 2.0, math.inf, 1e-12),
-        (math.sin, math.pi, 0.0, 1e-10),  # reversed interval
-        (lambda x: math.cos(100.0 * x), 0.0, 10.0, 1e-12),
+    @pytest.mark.parametrize("f, a, b, tol, ref", [
+        (lambda x: -math.log(x), 0.0, 1.0, 2.5e-11, 1.0),  # ln x endpoint
+        (lambda x: math.log(x) ** 2 * x ** -0.9, 0.0, 1.0, 1e-6, 2000.0),  # 2/0.1^3
+        (lambda x: -math.log(-math.expm1(-x)), 0.0, math.inf, 2.5e-13, math.pi ** 2 / 6.0),
+        (lambda x: 1.0 / (1.0 + x * x), 2.0, math.inf, 1e-12, float(mpmath.acot(2))),
+        (math.sin, math.pi, 0.0, 1e-10, -2.0),  # reversed interval
+        (lambda x: math.cos(100.0 * x), 0.0, 10.0, 1e-12, float(mpmath.sin(1000) / 100)),
     ])
-    def test_synthetic_bit_identical(self, f, a, b, epsabs):
-        assert _port(f, a, b, epsabs)[:3] == _scipy_quad(f, a, b, epsabs)
+    def test_synthetic_within_tol(self, f, a, b, tol, ref):
+        try:
+            got = integrate(f, a, b, tol)
+        except AccuracyError as exc:  # allowed only with an honest estimate
+            assert exc.estimate > tol
+            return
+        assert abs(got - ref) <= tol
 
-    def test_limit_exhaustion(self):
-        # sin(1/x) oscillates without end at 0: all 200 subintervals are used
-        f = lambda x: math.sin(1.0 / x)
-        got = quadpack.qagse(f, 0.0, 1.0, 1e-10)
-        assert got[2] == quadpack.LIMIT and got[3] == 1
-        assert got[:3] == _scipy_quad(f, 0.0, 1.0, 1e-10)
+    def test_oscillation_without_end_raises(self):
+        # sin(1/x) oscillates without end at 0: no level agrees with the last
+        with pytest.raises(AccuracyError) as info:
+            integrate(lambda x: math.sin(1.0 / x), 0.0, 1.0, 1e-10)
+        assert info.value.estimate > 1e-10
 
-    def test_roundoff_exit(self):
-        # a tolerance below 50*eps*int|f| cannot be met: roundoff flag, ier = 2
-        got = quadpack.qagse(math.sin, 0.0, math.pi, 1e-16)
-        assert got[3] == 2
-        assert got[:3] == _scipy_quad(math.sin, 0.0, math.pi, 1e-16)
+    def test_tolerance_below_roundoff_floor_raises(self):
+        # a tolerance below 50*eps*int|f| cannot be met
+        with pytest.raises(AccuracyError) as info:
+            integrate(math.sin, 0.0, math.pi, 1e-16)
+        assert info.value.estimate > 1e-16
 
     def test_integrate_rejects_infinite_lower_limit(self):
         with pytest.raises(ValueError):
@@ -126,10 +119,7 @@ class TestQuadpackAgainstScipy:
         with pytest.raises(ValueError):
             integrate(math.exp, 0.0, -math.inf)
 
-    def test_underflowing_tolerance_is_rejected(self):
-        # tol/4 rounds to 0; QUADPACK's ier = 6 would report 0 +- 0
-        with pytest.raises(ValueError):
-            quadpack.qagse(math.sin, 0.0, 1.0, 0.0)
+    def test_subnormal_tolerance_is_rejected(self):
         with pytest.raises(ValueError):
             integrate(math.sin, 0.0, 1.0, 5e-324)
 
@@ -137,42 +127,57 @@ class TestQuadpackAgainstScipy:
         with pytest.raises(AccuracyError):
             integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_node_tables_match_mpmath(self, k):
+        # level k holds t = j/2^k outward, odd j only above level 0, up to the
+        # last t whose offsets stay normal floats.  Offsets and weights are
+        # exp(-+c*u) with u = pi/2 sinh t, so rounding u costs c*u*eps
+        eps = sys.float_info.epsilon
+        tanh_sinh, _ = analysis._level(analysis._TANH_SINH, k)
+        right, left = analysis._level(analysis._EXP_SINH, k)
+        step = 1 if k == 0 else 2
+        with mpmath.workdps(40):
+            for nodes, c in ((tanh_sinh, -2), (right, 1), (left, -1)):
+                ts = [mpmath.mpf(1 + step * i) / 2 ** k for i in range(len(nodes) + 1)]
+                # the next node would leave the normal range
+                assert mpmath.exp(-abs(c) * mpmath.pi / 2 * mpmath.sinh(ts[-1])) \
+                    < sys.float_info.min
+                for (offset, w), t in zip(nodes, ts):
+                    u, v = mpmath.pi / 2 * mpmath.sinh(t), mpmath.pi / 2 * mpmath.cosh(t)
+                    if c == -2:  # 1 - tanh u, and the weight pi/2 cosh t / cosh^2 u
+                        ref = (2 / (mpmath.exp(2 * u) + 1), v / mpmath.cosh(u) ** 2)
+                    else:
+                        ref = (mpmath.exp(c * u), mpmath.exp(c * u) * v)
+                    for got, want in zip((offset, w), ref):
+                        assert abs(got - want) <= (4 + abs(c) * u) * eps * want, (c, k, t)
 
-class TestGaussKronrodTables:
-    @staticmethod
-    def _scipy_table(rule):
-        seen = {}
 
-        def capture(a, b, f, norm_func, x, w, v):
-            seen.update(x=x, w=w, v=v)
+@pytest.fixture(scope="module")
+def quadrature_entries():
+    """The catalog entries whose verification integrates."""
+    seen = set()
 
-        mp = pytest.MonkeyPatch()
-        mp.setattr(_quad_vec, "_quadrature_gk", capture)
-        try:
-            rule(-1.0, 1.0, None, None)
-        finally:
-            mp.undo()
-        return seen
+    def flag(f, lo=0.0, hi=math.inf, tol=1e-10):
+        seen.add(entry.id)
+        return integrate(f, lo, hi, tol)
 
-    def test_gk21(self):
-        t = self._scipy_table(_quad_vec._quadrature_gk21)
-        assert quadpack._XGK21 == tuple(float(x) for x in t["x"][:11])
-        assert quadpack._WGK21 == tuple(float(v) for v in t["v"][:11])
-        assert quadpack._WG10 == tuple(float(w) for w in t["w"][:5])
+    mp = pytest.MonkeyPatch()
+    for module in (catalog, geometry):
+        mp.setattr(module, "integrate", flag)
+    try:
+        for entry in catalog.builtin_catalog():
+            catalog.verify_entry(entry)
+    finally:
+        mp.undo()
+    return [e for e in catalog.builtin_catalog() if e.id in seen]
 
-    def test_gk15(self):
-        t = self._scipy_table(_quad_vec._quadrature_gk15)
-        assert quadpack._XGK15 == tuple(float(x) for x in t["x"][:8])
-        assert quadpack._WGK15 == tuple(float(v) for v in t["v"][:8])
-        assert quadpack._WG7 == tuple(float(w) for w in t["w"][:4])
 
-    @pytest.mark.parametrize("n, nodes", [(10, quadpack._XGK21[1::2]),
-                                          (7, quadpack._XGK15[1::2])])
-    def test_gauss_nodes_are_legendre_roots(self, n, nodes):
-        # the Gauss nodes sit at the odd 0-based Kronrod positions
-        for x in nodes:
-            root = mpmath.findroot(lambda t: mpmath.legendre(n, t), x)
-            assert abs(x - float(root)) <= 2.0 * sys.float_info.epsilon
+def test_quadrature_entries_pass_over_50_seeds(quadrature_entries):
+    assert len(quadrature_entries) == 11
+    for seed in range(50):
+        for entry in quadrature_entries:
+            report = catalog.verify_entry(entry, seed=seed)
+            assert report.status == "pass", (entry.id, seed, report.max_abs_residual)
 
 
 class TestBrentAgainstScipy:
