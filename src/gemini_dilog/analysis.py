@@ -214,7 +214,9 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 
     A line-for-line port of scipy's ``brentq.c`` (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4) with ``xtol = eps`` and
-    ``rtol = 4*eps``, so it returns the same iterate bit for bit.
+    ``rtol = 4*eps``, so it returns the same iterate bit for bit, except on
+    a bracket wider than DBL_MAX, which it halves endpoint by endpoint where
+    brentq.c steps to nan.
     ``hi = math.inf`` grows the bracket: hi starts at the first power of two
     above ``lo`` and doubles while f(hi) has the sign of f(lo); Brent then
     runs on [lo, hi] with the two values already computed.  Raises
@@ -262,6 +264,9 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 
         delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
+        if math.isinf(sbis):
+            # the bracket is wider than DBL_MAX: brentq.c steps to inf, then nan
+            sbis = xblk / 2.0 - xcur / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
@@ -21,6 +22,7 @@ from zlib import crc32
 
 from .analysis import (
     AccuracyError,
+    _inverse_pair_residual,
     constant_by_id,
     find_root,
     integrate,
@@ -37,6 +39,7 @@ from .gemini import (
     fixed_point,
     median,
     median_rule_residuals,
+    scale_fit,
     total_area,
     value,
 )
@@ -162,23 +165,25 @@ def _axis_values(ps: ParamSpec) -> list:
     return list(dict.fromkeys(vals))
 
 
-def _random_point(ps: ParamSpec, rng) -> float:
-    """One uniform draw on the axis from ``rng``, a ``_sampling.Generator``."""
+def _random_point(ps: ParamSpec, rng: random.Random) -> float:
+    """One uniform draw on the axis from ``rng.random()``, the one method
+    whose stream Python keeps the same across versions."""
+    u = rng.random()
     if ps.sampling == "integer":
-        return float(rng.integers(int(ps.lower), int(ps.upper) + 1))
-    return ps.lower + (ps.upper - ps.lower) * rng.random()
+        lo, hi = int(ps.lower), int(ps.upper)
+        # floor before adding lo: lo + (hi-lo+1)*u in floats can round to hi+1
+        return float(lo + math.floor((hi - lo + 1) * u))
+    return ps.lower + (ps.upper - ps.lower) * u
 
 
 def _sample_points(entry: IdentityEntry, seed: int) -> list:
-    from ._sampling import Generator
-
     if not entry.params:
         return [()]
     axes = [_axis_values(ps) for ps in entry.params]
     pts = [()]
     for ax in axes:
         pts = [p + (v,) for p in pts for v in ax]
-    rng = Generator(crc32(entry.id.encode()) ^ (seed & 0xFFFFFFFF))
+    rng = random.Random(crc32(entry.id.encode()) ^ (seed & 0xFFFFFFFF))
     for _ in range(10):
         pts.append(tuple(_random_point(ps, rng) for ps in entry.params))
     return pts
@@ -312,7 +317,7 @@ def _fibonacci_pair(nf: float) -> complex:
 
 
 def _inverse_pair(a: float, n: float) -> complex:
-    r1 = L(-a) + (2.0 * n - 1.0) / (n + 1.0) * PI2_6 + 0.5 * n / (n + 1.0) * ln(a) ** 2
+    r1 = _inverse_pair_residual(a, n)
     r2 = L(-1.0 / a) - (n - 2.0) / (n + 1.0) * PI2_6 + 0.5 / (n + 1.0) * ln(a) ** 2
     return complex(abs(r1), abs(r2))
 
@@ -330,7 +335,7 @@ def _ex8_pair(which: int, m: float) -> complex:
     return 0.5 * L(-(m ** SQ2)) - L(-m) - PI2_12
 
 
-_FIT_DEGENERATE = GeminiParams(0.0, math.sqrt(1.5))
+_FIT_DEGENERATE = GeminiParams(0.0, scale_fit(1.0, 0.0))
 _FIT_FUNDAMENTAL = GeminiParams(1.0)
 
 
@@ -945,10 +950,7 @@ def _g12() -> list:
         return complex(A_of_p(p) - q)
 
     def median_zero_p() -> complex:
-        p = _const("p_median_zero")
-        return complex(L(1.0 / p).real - PI2 / 4.0
-                       + ln(math.sqrt(p - 1.0)) ** 2
-                       + ln(p) * ln(math.sqrt(p) / (p - 1.0)))
+        return complex(constant_by_id("p_median_zero").fn(_const("p_median_zero")))
 
     def intersections() -> complex:
         x1, x2 = _fit_intersections()
@@ -971,7 +973,7 @@ def _g12() -> list:
            a_of_p_quad, params=(ParamSpec("p", 1.2, 10.0, "log", 6),), tol=1e-7),
         _E("g12-median-zero-p", "9.1", "single-term dilogarithm representation", median_zero_p),
         _E("g12-fit-scale", "9.2", "fit an arbitrary gemini function",
-           lambda: complex(total_area(GeminiParams(0.0, math.sqrt(1.5))) - PI2 / 4.0)),
+           lambda: complex(total_area(_FIT_DEGENERATE) - PI2 / 4.0)),
         _E("g12-fit-intersections", "9.2", "fit an arbitrary gemini function",
            intersections, tol=1e-5),
         _E("g12-fit-zero-sum", "9.2", "fit an arbitrary gemini function", zero_sum, tol=1e-8),

@@ -74,6 +74,38 @@ class TestResidual:
         assert abs(residual(e, (-1.0, 1.001))) < 1e-10
 
 
+class TestSampling:
+    # random.Random(int).random() is the one stream Python promises to keep
+    # across versions, so these literals hold on every supported Python
+    def test_seed_42_draws_two_real_axes(self):
+        assert catalog._sample_points(catalog_entry("g02-five-term"), 42)[-10:] == [
+            (9.854442109174645, 13.768514451820463),
+            (-0.18302668530895427, 49.18665920147749),
+            (5.092973430295014, 18.184063622807827),
+            (2.936158503880617, 41.3673291547394),
+            (5.0577754044006635, 8.029907785919304),
+            (6.506654300632381, 4.309389885361261),
+            (4.16206330309857, 13.67768805392299),
+            (17.039007639542035, 34.88504889632259),
+            (4.765553448743263, 12.74123293138626),
+            (0.9371600567107685, 32.80977112711415),
+        ]
+
+    def test_seed_42_draws_an_integer_axis(self):
+        pts = catalog._sample_points(catalog_entry("g04-fibonacci"), 42)
+        assert pts[-10:] == [(8.0,), (6.0,), (5.0,), (4.0,), (6.0,),
+                             (3.0,), (7.0,), (6.0,), (6.0,), (3.0,)]
+
+    def test_integer_draw_never_reaches_past_upper(self):
+        # the largest random() value: a float sum lo + 4*u would round to 6.0
+        class Top:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        ps = catalog.ParamSpec("n", 2, 5, "integer")
+        assert catalog._random_point(ps, Top()) == 5.0
+
+
 class TestVerifyEntry:
     def test_passing_entry(self):
         rep = verify_entry(catalog_entry("g03-reflection"))

@@ -7,7 +7,9 @@ subclasses) or ``AccuracyError``.  Nothing else may escape: no
 ``ZeroDivisionError``, no ``OverflowError``, no silent inf or nan.  The
 catalog's sampling takes any Python int as its seed and never raises.
 ``integrate`` returns a value within its tolerance of the closed form, or
-raises ``AccuracyError`` with an estimate above the tolerance.
+raises ``AccuracyError`` with an estimate above the tolerance.  ``find_root``
+returns a root to within its xtol + rtol*|x|, or raises ``ValueError`` or
+``AccuracyError``.
 """
 
 import dataclasses
@@ -224,3 +226,42 @@ def test_integrate_beta_family(alpha, gamma, lo, hi, tol):
     with mpmath.workdps(30):
         exact = float(mpmath.betainc(alpha + 1, gamma + 1, lo, hi))
     _integrate_keeps_contract(lambda x: x ** alpha * (1.0 - x) ** gamma, lo, hi, tol, exact)
+
+
+# find_root is fuzzed through functions whose sign changes exactly at r: x - r
+# and atan(x - r) (their floating-point sign is the sign of x - r), a step,
+# and (x - r)^3, which is flat enough near r to use up the iterations
+ROOT_FAMILIES = {
+    "linear": lambda r: lambda x: x - r,
+    "atan": lambda r: lambda x: math.atan(x - r),
+    "step": lambda r: lambda x: -1.0 if x < r else 1.0,
+    "cubic": lambda r: lambda x: (x - r) * (x - r) * (x - r),
+}
+ROOT_X = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(min_value=-1e3, max_value=1e3),
+                   st.sampled_from((0.0, 1.0, -1.0, 5e-324, 1e-300, DBL_MAX, -DBL_MAX,
+                                    DBL_MAX / 2.0, 2.0 ** 1023)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(sorted(ROOT_FAMILIES)), r=ROOT_X, lo=ROOT_X,
+       hi=st.one_of(ROOT_X, st.just(math.inf)))
+@example(family="linear", r=DBL_MAX, lo=-DBL_MAX, hi=DBL_MAX)
+@example(family="step", r=1e300, lo=1.0, hi=math.inf)
+# hi - lo overflows: brentq.c steps to -inf, then to nan
+@example(family="atan", r=0.0, lo=-9.9792015476736e+291, hi=DBL_MAX)
+def test_find_root_brackets_its_root(family, r, lo, hi):
+    """find_root returns x with |x - r| <= xtol + rtol*|x|, or raises
+    ValueError (BracketError for a finite bracket only when r is not
+    strictly inside it) or AccuracyError."""
+    try:
+        x = analysis.find_root(ROOT_FAMILIES[family](r), lo, hi)
+    except analysis.BracketError:
+        assert hi == math.inf or not min(lo, hi) < r < max(lo, hi), (lo, hi)
+        return
+    except ValueError:
+        assert hi == math.inf and not lo > 0.0, (lo, hi)
+        return
+    except AccuracyError:
+        return
+    assert math.isfinite(x) and abs(x - r) <= analysis._XTOL + analysis._RTOL * abs(x), (x, r)

@@ -364,6 +364,10 @@ class TestScaleAndCritical:
         assert gemini.total_area(GeminiParams(3.0, b)) == pytest.approx(
             gemini.total_area(GeminiParams(1.0)), rel=1e-12)
 
+    def test_scale_fit_of_the_degenerate_gemini(self):
+        # section 9.2 prints b = sqrt(3/2); g12-fit-scale checks scale_fit's value
+        assert gemini.scale_fit(1.0, 0.0) == math.sqrt(1.5)
+
     def test_atot_normalization(self):
         assert gemini.atot_of_a_p(1.0, 1.0) == pytest.approx(
             gemini.total_area(GeminiParams(1.0)) / 4.0, rel=1e-13)
