@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .analysis import BracketError, find_root
+from .analysis import BracketError, _inverse_pair_residual, find_root
 from .polylog import PI2_6, _require_finite, li2_re
 
 __all__ = [
@@ -136,9 +136,22 @@ def area_between(p: GeminiParams, x1: float, x2: float) -> float:
     return antiderivative(p, x2) - antiderivative(p, x1)
 
 
+def _atot(a: float) -> float:
+    """A_tot(a) = pi^2/6 - Li2(-a) for a >= -1, the one evaluator of the total area.
+
+    Below a = -1/2 it is Euler's reflection ln(-a) ln(1+a) + Li2(1+a): both terms are
+    positive and 1 + a is exact, so nothing cancels as a -> -1, where the area is 0.
+    """
+    if a < -0.5:
+        if a == -1.0:  # log1p(-1) raises
+            return 0.0
+        return math.log(-a) * math.log1p(a) + li2_re(1.0 + a)
+    return PI2_6 - li2_re(-a)
+
+
 def total_area(p: GeminiParams) -> float:
     """b^2 (pi^2/6 - Li2(-a)); zero in the completely degenerate case a = -1."""
-    return _no_overflow(p.b * p.b * (PI2_6 - li2_re(-p.a)), "total_area", p)
+    return _no_overflow(p.b * p.b * _atot(p.a), "total_area", p)
 
 
 def fixed_point(a: float) -> float:
@@ -146,7 +159,7 @@ def fixed_point(a: float) -> float:
     _require_finite(a, "a")
     if a < -1.0:
         raise ValueError("shape factor must satisfy a >= -1")
-    return math.log(1.0 + math.sqrt(1.0 + a))
+    return math.log1p(math.sqrt(1.0 + a))
 
 
 def symmetric_partner(a: float, x1: float) -> float:
@@ -158,7 +171,7 @@ def symmetric_partner(a: float, x1: float) -> float:
 
 def area_decomposition(p: GeminiParams) -> AreaDecomposition:
     """Sections of A_tot = A0 + 2 A_a at the fixed point, each scaled by b^2 last."""
-    total = PI2_6 - li2_re(-p.a)
+    total = _atot(p.a)
     x0 = fixed_point(p.a)
     middle = x0 * x0
     apex = 0.5 * (total - middle)
@@ -175,7 +188,7 @@ def area_ratio_r(a: float) -> float:
     """r(a) = A_tot/A0 = (pi^2/6 - Li2(-a)) / ln^2(1+sqrt(1+a)), a > -1."""
     if not (a > -1.0):
         raise ValueError("area ratio requires a > -1")
-    return (PI2_6 - li2_re(-a)) / fixed_point(a) ** 2
+    return _atot(a) / fixed_point(a) ** 2
 
 
 def area_ratio_rxa(x: float, a: float) -> float:
@@ -184,20 +197,19 @@ def area_ratio_rxa(x: float, a: float) -> float:
         raise ValueError("shape factor must satisfy a >= -1")
     if not (1.0 < x < 1.0 + math.sqrt(1.0 + a)):
         raise ValueError("x must lie in (1, 1+sqrt(1+a))")
-    num = li2_re(-a) - PI2_6
+    total = _atot(a)
     den = (
-        PI2_6
+        total
         - math.log(x) * math.log((x + a) / (x - 1.0))
-        - li2_re(-a)
         - 2.0 * li2_re(1.0 / x)
         + 2.0 * li2_re(-a / x)
     )
-    return num / den
+    return -total / den
 
 
 def _median_halfarea_residual(m: float, a: float) -> float:
-    # tail area from ln(m): Li2(1/m) - Li2(-a/m), half total: pi^2/12 - Li2(-a)/2
-    return li2_re(1.0 / m) - li2_re(-a / m) - (PI2_6 / 2.0 - 0.5 * li2_re(-a))
+    # tail area from ln(m): Li2(1/m) - Li2(-a/m), against half the total area
+    return li2_re(1.0 / m) - li2_re(-a / m) - 0.5 * _atot(a)
 
 
 def median(a: float) -> float:
@@ -265,10 +277,10 @@ def inverse_pair_solve_a(n: float) -> float:
     coefficient pairs, and the inversion formula maps the first relation
     onto the second.
     """
-    (A, B), _ = inverse_pair_prediction(n)
+    inverse_pair_prediction(n)  # the domain check on n
     if n < 1.0:
         return 1.0 / inverse_pair_solve_a(1.0 / n)
-    f = lambda a: li2_re(-a) - A * PI2_6 - B * math.log(a) ** 2
+    f = lambda a: _inverse_pair_residual(a, n)
     if abs(f(1.0)) < 1e-13:
         return 1.0
     return find_root(f, 1.0 + 1e-9, math.inf)
@@ -286,7 +298,7 @@ def atot_of_a_p(a: float, p: float) -> float:
     if not (a > -1.0 and p == p):  # p == p is False only for nan
         raise ValueError(f"atot_of_a_p({a!r}, {p!r}) requires a > -1 and p not nan")
     try:  # no check on the normal path: this is the integrand of g12-a-of-p
-        return (PI2_6 - li2_re(-a)) / (a + p) ** 2
+        return _atot(a) / (a + p) ** 2
     except ArithmeticError:  # ZeroDivisionError or OverflowError
         raise ValueError(f"atot_of_a_p({a!r}, {p!r}): (a+p)^2 is 0 or inf") from None
 
@@ -296,7 +308,7 @@ def critical_a(p: float) -> float:
     def f(a: float) -> float:
         if a == 0.0:
             return 0.5 * p - PI2_6
-        return li2_re(-a) - PI2_6 + (a + p) / (2.0 * a) * math.log(1.0 + a)
+        return (a + p) / (2.0 * a) * math.log(1.0 + a) - _atot(a)
 
     if abs(f(0.0)) < 1e-13:
         return 0.0

@@ -1,6 +1,7 @@
 """Unit tests for the gemini function family."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -137,8 +138,48 @@ class TestAntiderivative:
 
     def test_degenerate_edge(self):
         # a = -1 collapses the area to zero
-        assert gemini.total_area(GeminiParams(-1.0)) == pytest.approx(0.0,
-                                                                      abs=1e-15)
+        assert gemini.total_area(GeminiParams(-1.0)) == 0.0
+
+
+def _total_area_shapes():
+    # 1 + a = 10^(-k/4) down to 1e-15, where pi^2/6 - Li2(-a) cancels unless reflected,
+    # plus seeded points on [-1/2, 1e8], half of them log-uniform above 1
+    rng = random.Random(0)
+    return ([-1.0 + 10.0 ** (-k / 4) for k in range(61)]
+            + [rng.uniform(-0.5, 1.0) for _ in range(100)]
+            + [10.0 ** rng.uniform(0.0, 8.0) for _ in range(100)])
+
+
+class TestTotalAreaAgainstMpmath:
+    SHAPES = _total_area_shapes()
+
+    @staticmethod
+    def _ulps(got, ref):
+        return float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
+
+    @staticmethod
+    def _atot(a):
+        return mpmath.pi ** 2 / 6 - mpmath.polylog(2, -mpmath.mpf(a))
+
+    def test_within_a_few_ulps(self):
+        with mpmath.workdps(40):
+            for a in self.SHAPES:
+                atot = self._atot(a)
+                x0 = mpmath.log1p(mpmath.sqrt(1 + mpmath.mpf(a)))
+                assert self._ulps(gemini.total_area(GeminiParams(a)), atot) <= 2.5, a
+                assert self._ulps(gemini.fixed_point(a), x0) <= 1.5, a
+                assert self._ulps(gemini.area_ratio_r(a), atot / x0 ** 2) <= 4.0, a
+                assert self._ulps(gemini.atot_of_a_p(a, 2.0), atot / (a + 2) ** 2) <= 4.0, a
+
+    def test_continuous_across_the_switch(self):
+        # the neighbouring floats of a = -1/2 take the reflected and the direct form
+        below, above = math.nextafter(-0.5, -1.0), math.nextafter(-0.5, 0.0)
+        with mpmath.workdps(40):
+            for a in (below, -0.5, above):
+                assert self._ulps(gemini.total_area(GeminiParams(a)), self._atot(a)) <= 2.5, a
+        lo, mid, hi = (gemini.total_area(GeminiParams(a)) for a in (below, -0.5, above))
+        assert abs(mid - lo) <= 2.0 * math.ulp(mid)
+        assert abs(hi - mid) <= 2.0 * math.ulp(mid)
 
 
 class TestOverflow:
