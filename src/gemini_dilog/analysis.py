@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .polylog import PI2_6, chi2, li2_re
@@ -365,10 +366,6 @@ class NamedConstant:
             object.__setattr__(self, "bracket", (ref - 0.5, ref + 0.5))
 
 
-def _fixed_pt_ln(a: float) -> float:
-    return math.log(1.0 + math.sqrt(1.0 + a))
-
-
 def _median_residual_pow(m: float, n: int) -> float:
     # median of gemini_{m^n} at ln(m):
     # Li2(1/m) - Li2(-m^{n-1}) - pi^2/12 + Li2(-m^n)/2 = 0
@@ -377,15 +374,6 @@ def _median_residual_pow(m: float, n: int) -> float:
         - li2_re(-(m ** (n - 1)))
         - PI2_6 / 2.0
         + 0.5 * li2_re(-(m ** n))
-    )
-
-
-def _inverse_pair_residual(a: float, n: float) -> float:
-    # Li2(-a) = -((2n-1)/(n+1)) pi^2/6 - (n/(n+1)) ln^2(a)/2
-    return (
-        li2_re(-a)
-        + (2.0 * n - 1.0) / (n + 1.0) * PI2_6
-        + 0.5 * n / (n + 1.0) * math.log(a) ** 2
     )
 
 
@@ -401,7 +389,11 @@ _SQRT2 = math.sqrt(2.0)
 _TABLE1_A = {2: 3.531384, 3: 7.900377, 4: 14.759176, 5: 24.941163, 6: 39.482044, 7: 59.654746}
 
 
-def _build_table() -> Sequence[NamedConstant]:
+@lru_cache(maxsize=1)
+def constants_table() -> Sequence[NamedConstant]:
+    """The immutable registry of named constants, built on first use."""
+    from . import gemini  # gemini imports this module at load
+
     rows = [
         NamedConstant("phi", "x^2 - x - 1 = 0", lambda x: x * x - x - 1.0, 1.618034, "PAPER"),
         NamedConstant("plastic", "x^3 - x - 1 = 0", lambda x: x ** 3 - x - 1.0,
@@ -422,7 +414,7 @@ def _build_table() -> Sequence[NamedConstant]:
                       lambda x: x ** 3 - 2.0 * x * x - 1.0, 2.205569, "DERIVED", (2.0, 3.0)),
         NamedConstant("infinacci", "x - 2 = 0", lambda x: x - 2.0, 2.0, "PAPER"),
         NamedConstant("a_c", "Li2(-a) = pi^2/6 - 3 ln^2(1+sqrt(1+a))",
-                      lambda a: li2_re(-a) - PI2_6 + 3.0 * _fixed_pt_ln(a) ** 2,
+                      lambda a: 3.0 * gemini.fixed_point(a) ** 2 - gemini._atot(a),
                       2.582815, "PAPER"),
         NamedConstant("laplace_limit", "ln((1+sqrt(1+x^2))/x) = sqrt(1+x^2)",
                       _laplace_limit_residual, 0.662743, "PAPER"),
@@ -450,27 +442,15 @@ def _build_table() -> Sequence[NamedConstant]:
                       1.141080, "PAPER", (1.01, 1.641080)),
         NamedConstant("a_crit_p2",
                       "Li2(-a) = pi^2/6 - ((a+2)/(2a)) ln(a+1)",
-                      lambda a: li2_re(-a) - PI2_6
-                      + (a + 2.0) / (2.0 * a) * math.log(a + 1.0),
+                      lambda a: gemini._critical_a_residual(a, 2.0),
                       -0.514091, "PAPER", (-0.9, -0.1)),
     ]
     for n, aval in _TABLE1_A.items():
         rows.append(NamedConstant(
             f"inverse_pair_a_n{n}",
             f"Li2(-a) = -((2n-1)/(n+1)) pi^2/6 - (n/(n+1)) ln^2(a)/2, n={n}",
-            (lambda a, _n=n: _inverse_pair_residual(a, _n)), aval, "PAPER"))
+            (lambda a, _n=n: gemini._inverse_pair_residual(a, _n)), aval, "PAPER"))
     return tuple(rows)
-
-
-_TABLE: Optional[Sequence[NamedConstant]] = None
-
-
-def constants_table() -> Sequence[NamedConstant]:
-    """The immutable registry of named constants."""
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _build_table()
-    return _TABLE
 
 
 def constant_by_id(cid: str) -> NamedConstant:

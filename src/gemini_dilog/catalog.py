@@ -22,7 +22,6 @@ from zlib import crc32
 
 from .analysis import (
     AccuracyError,
-    _inverse_pair_residual,
     constant_by_id,
     find_root,
     integrate,
@@ -32,11 +31,13 @@ from .analysis import (
 from .gemini import (
     GeminiParams,
     A_of_p,
+    _inverse_pair_residual,
     area_ratio_r,
     area_ratio_rxa,
     atot_of_a_p,
     critical_a,
     fixed_point,
+    inverse_pair_prediction,
     median,
     median_rule_residuals,
     scale_fit,
@@ -317,9 +318,9 @@ def _fibonacci_pair(nf: float) -> complex:
 
 
 def _inverse_pair(a: float, n: float) -> complex:
-    r1 = _inverse_pair_residual(a, n)
-    r2 = L(-1.0 / a) - (n - 2.0) / (n + 1.0) * PI2_6 + 0.5 / (n + 1.0) * ln(a) ** 2
-    return complex(abs(r1), abs(r2))
+    _, (A2, B2) = inverse_pair_prediction(n)
+    r2 = L(-1.0 / a) - A2 * PI2_6 - B2 * ln(a) ** 2
+    return complex(abs(_inverse_pair_residual(a, n)), abs(r2))
 
 
 def _median_half_area(a: float) -> complex:

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .analysis import BracketError, _inverse_pair_residual, find_root
+from .analysis import BracketError, find_root
 from .polylog import PI2_6, _require_finite, li2_re
 
 __all__ = [
@@ -269,6 +269,12 @@ def inverse_pair_prediction(n: float) -> tuple:
     return (c1, c2)
 
 
+def _inverse_pair_residual(a: float, n: float) -> float:
+    # the first relation of inverse_pair_prediction(n): Li2(-a) = A pi^2/6 + B ln^2(a)
+    (A, B), _ = inverse_pair_prediction(n)
+    return li2_re(-a) - A * PI2_6 - B * math.log(a) ** 2
+
+
 def inverse_pair_solve_a(n: float) -> float:
     """Solve the inverse-pair prediction for the shape factor a.
 
@@ -303,13 +309,16 @@ def atot_of_a_p(a: float, p: float) -> float:
         raise ValueError(f"atot_of_a_p({a!r}, {p!r}): (a+p)^2 is 0 or inf") from None
 
 
+def _critical_a_residual(a: float, p: float) -> float:
+    # ((a+p)/(2a)) ln(1+a) = A_tot(a), whose left side tends to p/2 at a = 0
+    if a == 0.0:
+        return 0.5 * p - PI2_6
+    return (a + p) / (2.0 * a) * math.log(1.0 + a) - _atot(a)
+
+
 def critical_a(p: float) -> float:
     """Shape factor where the scale factor starts to dominate A_tot(a, p)."""
-    def f(a: float) -> float:
-        if a == 0.0:
-            return 0.5 * p - PI2_6
-        return (a + p) / (2.0 * a) * math.log(1.0 + a) - _atot(a)
-
+    f = lambda a: _critical_a_residual(a, p)
     if abs(f(0.0)) < 1e-13:
         return 0.0
     try:

@@ -151,7 +151,7 @@ print(code, sorted(m[len("gemini_dilog."):] for m in sys.modules
     (["median", "1.5"], ["analysis", "cli", "gemini", "polylog"]),
     (["volume", "1", "--b", "1.2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
     (["moment", "2"], ["analysis", "cli", "gemini", "geometry", "polylog"]),
-    (["constants", "--format", "json"], ["analysis", "cli", "polylog"]),
+    (["constants", "--format", "json"], ["analysis", "cli", "gemini", "polylog"]),
     (["verify", "--group", "G14"],  # quadrature on [lo, hi] and on [lo, inf)
      ["_sampling", "analysis", "catalog", "cli", "gemini", "geometry", "polylog"]),
     (["plot-data", "atot-p", "--points", "5"],

@@ -4,10 +4,10 @@ import math
 import random
 
 import mpmath
-import numpy as np
 import pytest
 
 from gemini_dilog import gemini
+from gemini_dilog._sampling import geomspace
 from gemini_dilog.analysis import integrate
 from gemini_dilog.gemini import GeminiParams
 
@@ -17,7 +17,7 @@ SHAPE_FACTORS = (-0.999, -0.5, -1.0 / PHI ** 2, 0.0, 0.3, 1.0, 2.0, 10.0)
 
 
 def grid(lo, hi, n=64):
-    return np.geomspace(lo, hi, n)
+    return geomspace(lo, hi, n)
 
 
 class TestValue:

@@ -261,7 +261,8 @@ for _n in range(2, 8):
 class TestConstantsAgainstMpmath:
     def test_every_constant_within_12_ulps_of_its_root(self):
         # Brent stops at the binary64 limit; what is left is the rounding of
-        # each equation in binary64 (a_c and inverse_pair_a_n6 need all 12)
+        # each equation in binary64 (only the inverse pairs need more than 2
+        # ulps, and inverse_pair_a_n6 needs all 12)
         table = analysis.constants_table()
         assert {c.id for c in table} == set(_MP_CONSTANTS)
         for c in table:
@@ -269,6 +270,14 @@ class TestConstantsAgainstMpmath:
             with mpmath.workdps(40):
                 root = mpmath.findroot(_MP_CONSTANTS[c.id], mpmath.mpf(x))
             assert abs(x - root) <= 12 * math.ulp(float(root)), c.id
+
+    def test_critical_a_at_p2_within_1_ulp(self):
+        # critical_a(2) and the a_crit_p2 row solve one residual on two brackets
+        with mpmath.workdps(40):
+            root = mpmath.findroot(_MP_CONSTANTS["a_crit_p2"], mpmath.mpf(-0.514091))
+        for x in (gemini.critical_a(2.0),
+                  analysis.solve_constant(analysis.constant_by_id("a_crit_p2"))):
+            assert abs(x - root) <= math.ulp(float(root)), x
 
 
 class TestZeta:
