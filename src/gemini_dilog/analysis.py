@@ -366,17 +366,6 @@ class NamedConstant:
             object.__setattr__(self, "bracket", (ref - 0.5, ref + 0.5))
 
 
-def _median_residual_pow(m: float, n: int) -> float:
-    # median of gemini_{m^n} at ln(m):
-    # Li2(1/m) - Li2(-m^{n-1}) - pi^2/12 + Li2(-m^n)/2 = 0
-    return (
-        li2_re(1.0 / m)
-        - li2_re(-(m ** (n - 1)))
-        - PI2_6 / 2.0
-        + 0.5 * li2_re(-(m ** n))
-    )
-
-
 def _laplace_limit_residual(lam: float) -> float:
     # |R1| = |R2| on geminoid_1 at x = arcsinh(lambda):
     # ln((1+sqrt(1+l^2))/l) = sqrt(1+l^2)
@@ -430,7 +419,9 @@ def constants_table() -> Sequence[NamedConstant]:
                       lambda m: chi2(1.0 / (m * m)) - 0.5 * math.log(m) ** 2,
                       2.019283, "PAPER"),
         NamedConstant("median_n3", "median of gemini_{m^3} equals ln(m)",
-                      lambda m: _median_residual_pow(m, 3), 2.905862, "PAPER"),
+                      lambda m: li2_re(1.0 / m) - li2_re(-(m ** 2)) - PI2_6 / 2.0
+                      + 0.5 * li2_re(-(m ** 3)),
+                      2.905862, "PAPER"),
         NamedConstant("a_no_pi2", "Li2(-a) = -pi^2/6",
                       lambda a: li2_re(-a) + PI2_6, 2.393308, "PAPER"),
         # reference - 1/2 lies outside these two residuals' domains, p > 1 and a > -1

@@ -207,16 +207,13 @@ def area_ratio_rxa(x: float, a: float) -> float:
     return -total / den
 
 
-def _median_halfarea_residual(m: float, a: float) -> float:
-    # tail area from ln(m): Li2(1/m) - Li2(-a/m), against half the total area
-    return li2_re(1.0 / m) - li2_re(-a / m) - 0.5 * _atot(a)
-
-
 def median(a: float) -> float:
     """ln(m) splitting the total area in half: Li2(1/m) - Li2(-a/m) = A_tot/2."""
     if not (a > -1.0):
         raise ValueError("median requires a > -1")
-    f = lambda m: _median_halfarea_residual(m, a)
+    half = 0.5 * _atot(a)
+    # tail area from ln(m): Li2(1/m) - Li2(-a/m), against half the total area
+    f = lambda m: li2_re(1.0 / m) - li2_re(-a / m) - half
     return math.log(find_root(f, 1.0 + 1e-9, math.inf))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .analysis import find_root, integrate
 from .gemini import GeminiParams, _g, _no_overflow, fixed_point, value
-from .polylog import gamma_fn, li3_real, zeta3, zeta_fn
+from .polylog import PI2_6, _li3_series, gamma_fn, li3_real, zeta3, zeta_fn
 
 __all__ = [
     "GeminoidProfile",
@@ -48,13 +48,31 @@ class GeminoidProfile:
     gauss_curvature: float
 
 
+def _vtot(a: float) -> float:
+    """zeta(3) - Li3(-a) for a >= -1, the one evaluator of the geminoid volume.
+
+    Below a = -1/2 it is the three-term identity at x = -a, with 1 - x = 1 + a exact:
+    Li3(1-x) + Li3(1-1/x) - ln^3(x)/6 - (pi^2/6) ln(x) + ln^2(x) ln(1-x)/2, where the
+    two trilogarithms are li3_real's series at -ln(x) and ln(x).  zeta(3) drops out,
+    so nothing cancels as a -> -1, where the volume is 0.
+    """
+    if a < -0.5:
+        if a == -1.0:  # log(1 + a) raises
+            return 0.0
+        e = 1.0 + a
+        ln = math.log1p(-e)  # ln(-a)
+        return (_li3_series(-ln) + _li3_series(ln) - ln ** 3 / 6.0 - PI2_6 * ln
+                + 0.5 * ln * ln * math.log(e))
+    return zeta3() - li3_real(-a)
+
+
 def geminoid_volume(p: GeminiParams) -> float:
-    """V = 2*pi*b^3*[zeta(3) - Li3(-a)]."""
+    """V = 2*pi*b^3*[zeta(3) - Li3(-a)]; zero in the degenerate case a = -1."""
     try:
         b3 = p.b ** 3
     except OverflowError:  # float ** raises where float * gives inf
         b3 = math.inf
-    return _no_overflow(2.0 * math.pi * b3 * (zeta3() - li3_real(-p.a)), "geminoid_volume", p)
+    return _no_overflow(2.0 * math.pi * b3 * _vtot(p.a), "geminoid_volume", p)
 
 
 def geminoid_volume_quad(p: GeminiParams, tol: float = 1e-9) -> float:
@@ -67,7 +85,7 @@ def volume_ratio(a: float) -> float:
     """V_a over the middle-cylinder volume; tends to 8/3 as a grows."""
     if not (a > -1.0):
         raise ValueError("volume ratio requires a > -1")
-    return 2.0 * (zeta3() - li3_real(-a)) / fixed_point(a) ** 3
+    return 2.0 * _vtot(a) / fixed_point(a) ** 3
 
 
 def raw_moment(s: float) -> float:

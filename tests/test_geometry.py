@@ -1,6 +1,7 @@
 """Unit tests for geminoid solids and differential geometry."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -63,6 +64,39 @@ class TestVolumes:
                                                             abs=1e-2)
         with pytest.raises(ValueError):
             geometry.volume_ratio(-1.0)
+
+
+def _volume_shapes():
+    # 1 + a = 10^(-k/4) down to 1e-15, where zeta(3) - Li3(-a) cancels unless
+    # reflected, the float next to -1, both floats next to the switch at -1/2,
+    # and seeded points on [-1, 1e8], a third of them log-uniform above 1
+    rng = random.Random(0)
+    return ([-1.0 + 10.0 ** (-k / 4) for k in range(61)]
+            + [math.nextafter(-1.0, 0.0), math.nextafter(-0.5, -1.0), math.nextafter(-0.5, 0.0)]
+            + [rng.uniform(-1.0, -0.5) for _ in range(70)]
+            + [rng.uniform(-0.5, 1.0) for _ in range(65)]
+            + [10.0 ** rng.uniform(0.0, 8.0) for _ in range(65)])
+
+
+class TestVolumeAgainstMpmath:
+    SHAPES = _volume_shapes()
+
+    @staticmethod
+    def _ulps(got, ref):
+        return float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
+
+    def test_within_a_few_ulps(self):
+        # bounds sit just above the worst of 3,000 seeded points per band
+        with mpmath.workdps(40):
+            for a in self.SHAPES:
+                vtot = mpmath.zeta(3) - mpmath.polylog(3, -mpmath.mpf(a))
+                x0 = mpmath.log1p(mpmath.sqrt(1 + mpmath.mpf(a)))
+                assert self._ulps(geometry.geminoid_volume(GeminiParams(a)),
+                                  2 * mpmath.pi * vtot) <= 5.5, a
+                assert self._ulps(geometry.volume_ratio(a), 2 * vtot / x0 ** 3) <= 7.5, a
+
+    def test_degenerate_volume_is_zero(self):
+        assert geometry.geminoid_volume(GeminiParams(-1.0)) == 0.0
 
 
 class TestMoments:
