@@ -12,7 +12,12 @@ Proc. R. Soc. A 459 (2003) 2807), evaluated by Horner's rule on the reduced
 domain |z| <= 1, Re z <= 1/2, where |w| <= pi/3 (|w| <= ln 2 for real
 arguments).  Any argument reaches that domain in at most one inversion
 z -> 1/z followed by at most one reflection z -> 1 - z (for Li3 on (1/2, 1),
-the three-term identity); nothing recurses and no loop runs to a tolerance.
+the three-term identity).  Cl2 is real arithmetic alone: after the odd
+symmetry and one reduction modulo 2pi, the classical Clausen series in t
+serves t <= 2 and the series in pi - t serves t in (2, pi] (Lewin,
+Polylogarithms and Associated Functions, 1981, ch. 4; Abramowitz & Stegun
+27.8), each a fixed 15 terms.  Nothing recurses and no loop runs to a
+tolerance.
 
 Error contract: every public function returns a finite float or complex, or
 raises ValueError for an argument outside its domain or a result beyond
@@ -53,39 +58,24 @@ _CATALAN = 0.915965594177219015
 # Apery's constant zeta(3), cross-checked in the test suite against mpmath.
 _ZETA3 = 1.2020569031595942
 
-# Even Bernoulli numbers B_2 .. B_30 of the trigamma asymptotic expansion.
-_BERNOULLI = {
-    2: 1.0 / 6.0,
-    4: -1.0 / 30.0,
-    6: 1.0 / 42.0,
-    8: -1.0 / 30.0,
-    10: 5.0 / 66.0,
-    12: -691.0 / 2730.0,
-    14: 7.0 / 6.0,
-    16: -3617.0 / 510.0,
-    18: 43867.0 / 798.0,
-    20: -174611.0 / 330.0,
-    22: 854513.0 / 138.0,
-    24: -236364091.0 / 2730.0,
-    26: 8553103.0 / 6.0,
-    28: -23749461029.0 / 870.0,
-    30: 8615841276005.0 / 14322.0,
-}
-
-# c_m = sum_{k=1..m} B_{k-1} B_{m-k} / (k! (m-k)! m) for m = 1..20:
-# Li3(x) = sum_m c_m u^m, u = -ln(1-x), from dLi3/du = Li2/(e^u - 1).  On
-# the reduced domain |u| <= ln 2 the first omitted term is below 2e-20
-# relative to u.
-_LI3_COEFFS = (
-    1.0, -0.375, 0.0787037037037037,
-    -0.008680555555555556, 0.00012962962962962963, 8.101851851851852e-05,
-    -3.4193571608537595e-06, -1.328656462585034e-06, 8.660871756109851e-08,
-    2.52608759553204e-08, -2.144694468364065e-09, -5.140110622012979e-10,
-    5.24958211460083e-11, 1.0887754406636318e-11, -1.2779396094493695e-12,
-    -2.369824177308745e-13, 3.104357887965462e-14, 5.261758629912506e-15,
-    -7.538479549949265e-16, -1.1862322577752286e-16,
+# Even Bernoulli numbers B_2, B_4, ..., B_30 of the trigamma asymptotic expansion.
+_BERNOULLI = (
+    1.0 / 6.0,
+    -1.0 / 30.0,
+    1.0 / 42.0,
+    -1.0 / 30.0,
+    5.0 / 66.0,
+    -691.0 / 2730.0,
+    7.0 / 6.0,
+    -3617.0 / 510.0,
+    43867.0 / 798.0,
+    -174611.0 / 330.0,
+    854513.0 / 138.0,
+    -236364091.0 / 2730.0,
+    8553103.0 / 6.0,
+    -23749461029.0 / 870.0,
+    8615841276005.0 / 14322.0,
 )
-_LI3_HORNER = _LI3_COEFFS[:0:-1]  # c_20 .. c_2; c_1 = 1 is applied last
 
 # trigamma(x) ~ 1/x^2 overflows binary64 below this argument
 _TRIGAMMA_MIN = 1.0 / math.sqrt(sys.float_info.max)
@@ -114,9 +104,19 @@ def _li2_series(w):
 
 def _li3_series(u: float) -> float:
     """Li3(1 - e^-u) for |u| <= ln 2."""
-    p = 0.0
-    for c in _LI3_HORNER:
-        p = p * u + c
+    # Li3 = sum_m c_m u^m, m = 1..20, with c_m = sum_{k=1..m} B_{k-1} B_{m-k}
+    # / (k! (m-k)! m), from dLi3/du = Li2/(e^u - 1), by Horner's rule unrolled.
+    # On |u| <= ln 2 the first omitted term is below 2e-20 relative to u.
+    p = (((((((((((((((((-1.1862322577752286e-16 * u - 7.538479549949265e-16) * u
+                        + 5.261758629912506e-15) * u + 3.104357887965462e-14) * u
+                      - 2.369824177308745e-13) * u - 1.2779396094493695e-12) * u
+                    + 1.0887754406636318e-11) * u + 5.24958211460083e-11) * u
+                  - 5.140110622012979e-10) * u - 2.144694468364065e-09) * u
+                + 2.52608759553204e-08) * u + 8.660871756109851e-08) * u
+              - 1.328656462585034e-06) * u - 3.4193571608537595e-06) * u
+            + 8.101851851851852e-05) * u + 0.00012962962962962963) * u
+          - 0.008680555555555556) * u + 0.0787037037037037) * u - 0.375
+    # c_1 = 1: the leading u is added last
     return u + u * (u * p)
 
 
@@ -161,8 +161,9 @@ def li2_complex(z: complex) -> complex:
     On the cut (z real, z > 1) the lower-lip limit is used, matching
     ``li2_real``.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if type(z) is not complex:
+        z = complex(z)
+    if not cmath.isfinite(z):
         raise ValueError("argument must be finite")
     if z.imag == 0.0:
         return li2_real(z.real)
@@ -214,8 +215,8 @@ def li3_real(x: float) -> float:
 
 def chi2(x: float) -> float:
     """Legendre chi function chi2(x) = [Li2(x) - Li2(-x)]/2, |x| <= 1."""
-    _require_finite(x)
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:  # also false for nan
+        _require_finite(x)
         raise ValueError("chi2 requires |x| <= 1")
     return 0.5 * (li2_re(x) - li2_re(-x))
 
@@ -223,15 +224,47 @@ def chi2(x: float) -> float:
 def clausen_cl2(theta: float) -> float:
     """Clausen function Cl2(theta) = Im{Li2(e^{i*theta})}; 2pi-periodic, odd."""
     _require_finite(theta, "theta")
+    sign = 1.0
+    if theta < 0.0:
+        sign, theta = -1.0, -theta
     t = math.fmod(theta, 2.0 * math.pi)
-    if t < 0.0:
-        t += 2.0 * math.pi
     if t == 0.0 or t == math.pi:
         return 0.0
-    # odd symmetry about pi: Cl2(t) = -Cl2(2pi - t)
+    # phi = pi - t for the series about pi.  math.pi and 2*math.pi subtract
+    # exactly; the low parts of pi and 2pi are then added with one rounding.
     if t > math.pi:
-        return -clausen_cl2(2.0 * math.pi - t)
-    return li2_complex(cmath.exp(1j * t)).imag
+        # odd symmetry about pi: Cl2(t) = -Cl2(2pi - t), and pi - (2pi - t) = t - pi
+        sign = -sign
+        phi = (t - math.pi) - 1.2246467991473532e-16
+        t = (2.0 * math.pi - t) + 2.4492935982947064e-16
+    else:
+        phi = (math.pi - t) + 1.2246467991473532e-16
+    # Both series below (Lewin 1981, ch. 4) use a_k = |B_2k|/(2k (2k+1)!),
+    # k = 1..15, by Horner's rule unrolled.  They split at t = 2, not at
+    # 2pi/3, so that the rounded 2pi - t that reaches the series in t is at
+    # most 2 and off by at most 2^-53; at the split the first omitted terms
+    # are below 1e-18 and 3e-17 relative to Cl2.
+    if t <= 2.0:
+        # Cl2(t) = t - t ln t + t * sum_k a_k t^2k
+        s = t * t
+        p = (((((((((((((2.4386585509007344e-27 * s + 1.1026499294381215e-25) * s
+                        + 5.03519521314739e-24) * s + 2.325744114302087e-22) * s
+                      + 1.0887357368300849e-20) * s + 5.178258806090623e-19) * s
+                    + 2.5105444608999545e-17) * s + 1.2462059912950672e-15) * s
+                  + 6.372636443183181e-14) * s + 3.387301370953521e-12) * s
+                + 1.8978869988971e-10) * s + 1.1482216343327455e-08) * s
+              + 7.873519778281683e-07) * s + 6.944444444444444e-05) * s + 0.013888888888888888
+        return sign * (t * (1.0 - math.log(t) + s * p))
+    # Cl2(pi - phi) = phi ln 2 - phi * sum_k (4^k - 1) a_k phi^2k
+    s = phi * phi
+    q = (((((((((((((2.618489678118693e-18 * s + 2.9599033551444004e-17) * s
+                    + 3.3790622573736396e-16) * s + 3.901950904063069e-15) * s
+                  + 4.5664875671936356e-14) * s + 5.429792727596475e-13) * s
+                + 6.5812165661369675e-12) * s + 8.167010963952224e-11) * s
+              + 1.0440290284867003e-09) * s + 1.3870999114054669e-08) * s
+            + 1.941538399871733e-07) * s + 2.927965167548501e-06) * s
+          + 4.96031746031746e-05) * s + 0.0010416666666666667) * s + 0.041666666666666664
+    return sign * (phi * (0.6931471805599453 - s * q))
 
 
 def trigamma(x: float) -> float:
@@ -240,8 +273,8 @@ def trigamma(x: float) -> float:
     Raises ValueError below x = 1/sqrt(DBL_MAX) ~ 7.5e-155, where the value
     ~ 1/x^2 overflows binary64.
     """
-    _require_finite(x)
-    if x < _TRIGAMMA_MIN:
+    if not _TRIGAMMA_MIN <= x < math.inf:  # also true for nan
+        _require_finite(x)
         if x <= 0.0:
             raise ValueError("trigamma requires x > 0")
         raise ValueError(f"trigamma({x!r}) overflows binary64")
@@ -255,8 +288,8 @@ def trigamma(x: float) -> float:
     # psi1(x) ~ 1/x + 1/(2x^2) + sum_{k>=1} B_{2k} / x^{2k+1}
     total = inv + 0.5 * inv2
     power = inv * inv2
-    for k2 in range(2, 31, 2):
-        total += _BERNOULLI[k2] * power
+    for b in _BERNOULLI:
+        total += b * power
         power *= inv2
     return acc + total
 
@@ -266,18 +299,27 @@ def li2_unit_circle(p: int, q: int) -> complex:
 
     Re = pi^2/6 - (2*pi*theta - theta^2)/4 with theta reduced to [0, 2pi);
     Im = Cl2(theta).  p is reduced modulo 2q in integers, before any rounding,
-    so whole turns cost no accuracy: Li2(e^{44*pi*i}) is exactly pi^2/6.
+    so whole turns cost no accuracy: Li2(e^{44*pi*i}) is exactly pi^2/6.  The
+    odd symmetry of Cl2 about pi is taken in integers too: with r = p mod 2q
+    above q, Im = -Cl2(pi*(2q - r)/q).
     """
     if q == 0:
         raise ValueError("q must be nonzero")
     if q < 0:
         p, q = -p, -q
     r = p % (2 * q)
-    # pi * r overflows, or q has no float, for q near 2^1024; the int ratio
-    # r / q rounds once and is in [0, 2)
-    theta = math.pi * r / q if q < 2 ** 1000 else math.pi * (r / q)
+    theta = _angle(r, q)
     re = PI2_6 - (2.0 * math.pi * theta - theta * theta) / 4.0
+    if r > q:
+        return complex(re, -clausen_cl2(_angle(2 * q - r, q)))
     return complex(re, clausen_cl2(theta))
+
+
+def _angle(r: int, q: int) -> float:
+    """pi * r / q for integers 0 <= r <= 2q."""
+    # pi * r overflows, or q has no float, for q near 2^1024; the int ratio
+    # r / q rounds once and is in [0, 2]
+    return math.pi * r / q if q < 2 ** 1000 else math.pi * (r / q)
 
 
 def gamma_fn(s: float) -> float:
@@ -297,7 +339,7 @@ def gamma_fn(s: float) -> float:
 # zeta_fn's Euler-Maclaurin factors B_2j/(2j)!, j = 1..10: with N = 10 direct
 # terms the first omitted correction is below 1e-18 relative for every s > 1
 _ZETA_N = 10
-_ZETA_EM = tuple(_BERNOULLI[2 * j] / math.factorial(2 * j) for j in range(1, 11))
+_ZETA_EM = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI[:10], 1))
 
 
 def zeta_fn(s: float) -> float:

@@ -19,6 +19,23 @@ def mp_li2(x):
     return complex(mpmath.polylog(2, x))
 
 
+def _logspace(lo, hi, n):
+    a, b = math.log10(lo), math.log10(hi)
+    return [10.0 ** (a + (b - a) * k / (n - 1)) for k in range(n)]
+
+
+def _worst_ulps(fn, ref, points):
+    """Largest error of ``fn`` in units in the last place of the 40-digit
+    mpmath value ``ref(x)``, and where."""
+    worst = (0.0, None)
+    with mpmath.workdps(40):
+        for x in points:
+            r = ref(mpmath.mpf(x))
+            worst = max(worst, (float(abs(fn(x) - r)) / math.ulp(float(r)), x),
+                        key=lambda e: e[0])
+    return worst
+
+
 class TestLi2Real:
     def test_defining_series_small_args(self):
         # brute-force partial sums as the oracle inside the disk
@@ -92,6 +109,12 @@ class TestLi3:
         with pytest.raises(ValueError):
             polylog.li3_real(1.5)
 
+    def test_ulps_log_spaced(self):
+        # the worst error of the looped series, which the unrolled one repeats bit for bit
+        points = [-x for x in _logspace(1e-300, 1e300, 300)] + _logspace(1e-300, 1.0, 300)
+        err, at = _worst_ulps(polylog.li3_real, lambda x: mpmath.polylog(3, x), points)
+        assert err <= 3.37, f"{err:.2f} ulps at x = {at!r}"
+
 
 class TestChi2:
     def test_closed_form_at_one(self):
@@ -133,6 +156,44 @@ class TestClausen:
         assert polylog.clausen_cl2(math.pi / 3.0) == pytest.approx(
             polylog.gieseking(), abs=1e-14)
 
+    def test_odd_bit_for_bit(self):
+        for t in _logspace(1e-300, 2.0 * math.pi, 600)[:-1]:
+            assert polylog.clausen_cl2(-t) == -polylog.clausen_cl2(t), t
+        # reducing with t += 2 pi before the symmetry rounds these away (to
+        # -2.172326755e-08 and -0.0)
+        assert polylog.clausen_cl2(-1e-9) == -polylog.clausen_cl2(1e-9)
+        assert polylog.clausen_cl2(-1e-17) < 0.0
+
+    def test_ulps_log_spaced(self):
+        # the float arguments of (0, 2 pi) are reduced with no rounding but
+        # that of the low part of pi or 2 pi, so the whole period is held
+        points = _logspace(1e-300, math.pi, 400)[:-1]
+        points += [t for d in _logspace(1e-15, 0.5, 100)
+                   for t in (math.pi - d, math.pi + d, 2.0 * math.pi - d)]
+        err, at = _worst_ulps(polylog.clausen_cl2, lambda t: mpmath.clsin(2, t), points)
+        assert err <= 3.0, f"{err:.2f} ulps at theta = {at!r}"
+
+    @pytest.mark.parametrize("lo,hi", [(1e-100, 1e-4), (1e-4, 1e-2), (0.01, 0.5),
+                                       (0.5, math.pi)])
+    def test_ulps_uniform_bands(self, lo, hi):
+        points = [lo + (hi - lo) * (k + 0.5) / 300 for k in range(300)]
+        err, at = _worst_ulps(polylog.clausen_cl2, lambda t: mpmath.clsin(2, t), points)
+        assert err <= 3.0, f"{err:.2f} ulps at theta = {at!r}"
+
+    def test_reduced_arguments(self):
+        # theta + 2k pi is rounded, and 2 pi is not a float: the error is
+        # measured relative to max(|Cl2|, |theta Cl2'(theta)|), at the float argument
+        def ref(x):
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                v = mpmath.clsin(2, xm)
+                return float(v), float(max(abs(v), abs(xm * mpmath.log(abs(2 * mpmath.sin(xm / 2))))))
+
+        points = [s * (t + 2.0 * k * math.pi) for k in range(-4, 5) for s in (1.0, -1.0)
+                  for t in _logspace(1e-12, 2.0 * math.pi, 60)[:-1]]
+        err, at = _worst(polylog.clausen_cl2, ref, points)
+        assert err <= 8.0 * 2.0 ** -52, f"{err / 2.0 ** -52:.2f} eps at theta = {at!r}"
+
 
 class TestTrigamma:
     @pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 1.0, 1.5, 3.0, 10.5, 100.0])
@@ -155,6 +216,12 @@ class TestTrigamma:
     def test_overflow_is_a_value_error(self, x):
         with pytest.raises(ValueError, match="overflows"):
             polylog.trigamma(x)
+
+    def test_ulps_log_spaced(self):
+        # the worst error at the dict-and-range loop, which the tuple loop repeats bit for bit
+        err, at = _worst_ulps(polylog.trigamma, lambda x: mpmath.polygamma(1, x),
+                              _logspace(1e-3, 1e3, 600))
+        assert err <= 2.88, f"{err:.2f} ulps at x = {at!r}"
 
     def test_smallest_argument_is_finite(self):
         x = polylog._TRIGAMMA_MIN
@@ -259,13 +326,77 @@ class TestSeriesCoefficients:
         for w in ws:
             assert polylog._li2_series(w) == looped(w), w
 
-    def test_li3_table(self):
+    @staticmethod
+    def _li3_coeffs():
+        # c_m = sum_k B_{k-1} B_{m-k} / (k! (m-k)! m), m = 1..20
         b, fact = mpmath.bernoulli, mpmath.factorial
         with mpmath.workdps(40):
-            ref = [float(sum(b(k - 1) * b(m - k) / (fact(k) * fact(m - k))
-                             for k in range(1, m + 1)) / m)
-                   for m in range(1, 21)]
-        assert list(polylog._LI3_COEFFS) == ref
+            return [float(sum(b(k - 1) * b(m - k) / (fact(k) * fact(m - k))
+                              for k in range(1, m + 1)) / m)
+                    for m in range(1, 21)]
+
+    def test_li3_table(self):
+        # the float literals of _li3_series are the correctly rounded |c_2| .. |c_20|;
+        # c_1 = 1 is the leading u, and signs and order are checked by
+        # test_unrolled_li3_horner
+        literals = [abs(c) for c in polylog._li3_series.__code__.co_consts
+                    if isinstance(c, float)]
+        assert sorted(literals) == sorted(abs(c) for c in self._li3_coeffs()[1:])
+
+    def test_unrolled_li3_horner(self):
+        # _li3_series spells out the Horner loop p = p*u + c over c_20 .. c_2
+        # from p = 0: the same roundings in the same order give the same bits
+        coeffs = self._li3_coeffs()
+
+        def looped(u):
+            p = 0.0
+            for c in reversed(coeffs[1:]):
+                p = p * u + c
+            return u + u * (u * p)
+
+        ln2 = math.log(2.0)
+        us = [ln2 * (k / 200.0 - 1.0) for k in range(401)]
+        us += [s * x for x in _logspace(1e-300, 1e-3, 200) for s in (1.0, -1.0)]
+        for u in us:
+            assert polylog._li3_series(u) == looped(u), u
+
+    @staticmethod
+    def _clausen_coeffs():
+        # a_k = |B_2k|/(2k (2k+1)!) and (4^k - 1) a_k, k = 1..15
+        with mpmath.workdps(40):
+            a = [abs(mpmath.bernoulli(2 * k)) / (2 * k * mpmath.factorial(2 * k + 1))
+                 for k in range(1, 16)]
+            return ([float(c) for c in a],
+                    [float((4 ** k - 1) * c) for k, c in enumerate(a, 1)])
+
+    def test_clausen_tables(self):
+        # the 30 series literals of clausen_cl2 are correctly rounded; the
+        # others are 1, 2, ln 2 and the low parts of pi and 2pi
+        with mpmath.workdps(40):
+            others = {1.0, 2.0, float(mpmath.log(2)),
+                      float(mpmath.pi - math.pi), float(2 * mpmath.pi - 2.0 * math.pi)}
+        literals = [c for c in polylog.clausen_cl2.__code__.co_consts
+                    if isinstance(c, float) and abs(c) not in others and c != 0.0]
+        a, b = self._clausen_coeffs()
+        assert sorted(literals) == sorted(a + b)
+
+    def test_unrolled_clausen_horner(self):
+        # both series of clausen_cl2 are Horner's rule on the mpmath tables
+        a, b = self._clausen_coeffs()
+
+        def horner(cs, s):
+            p = 0.0
+            for c in reversed(cs):
+                p = p * s + c
+            return p
+
+        for t in _logspace(1e-300, 2.0, 300):
+            s = t * t
+            assert polylog.clausen_cl2(t) == t * (1.0 - math.log(t) + s * horner(a, s)), t
+        for t in [2.0 + (math.pi - 2.0) * k / 300 for k in range(1, 300)]:
+            phi = (math.pi - t) + 1.2246467991473532e-16
+            s = phi * phi
+            assert polylog.clausen_cl2(t) == phi * (0.6931471805599453 - s * horner(b, s)), t
 
 
 def _li2_ref(z):
