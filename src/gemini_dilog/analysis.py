@@ -22,7 +22,6 @@ __all__ = [
     "NamedConstant",
     "integrate",
     "find_root",
-    "solve_trinomial",
     "solve_nstep",
     "constants_table",
     "constant_by_id",
@@ -307,22 +306,6 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             raise ValueError(f"root function is nan at {xcur!r}")
     raise AccuracyError(f"root solve did not converge in {_BRENT_MAXITER} iterations",
                         abs(xblk - xcur))
-
-
-def solve_trinomial(n: float, m: float) -> float:
-    """The unique root > 1 of x^n - x^m - 1 = 0 for n > m > 0."""
-    if not (n > m > 0):
-        raise ValueError("need n > m > 0")
-
-    def f(x: float) -> float:
-        try:
-            return x ** n - x ** m - 1.0
-        except OverflowError:
-            # the root has r^n = 1 + r^m below binary64's maximum, so an x
-            # whose x^n overflows lies above it, where f > 0
-            return math.inf
-
-    return find_root(f, 1.0 + 1e-12, math.inf)
 
 
 def solve_nstep(N: int, sign: str) -> float:

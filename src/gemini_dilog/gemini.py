@@ -40,8 +40,6 @@ __all__ = [
     "area_ratio_rxa",
     "median",
     "median_rule_residuals",
-    "rotated_degenerate",
-    "rotated_antiderivative",
     "inverse_pair_prediction",
     "inverse_pair_solve_a",
     "scale_fit",
@@ -228,26 +226,7 @@ def median_rule_residuals(a: float) -> tuple:
     return (rule1, rule2)
 
 
-_SQRT2 = math.sqrt(2.0)
 _HALF_MAX = sys.float_info.max / 2.0
-
-
-def rotated_degenerate(x: float) -> float:
-    """The degenerate form rotated by 45 degrees: (1/sqrt2) ln(2cosh(x sqrt2)+2)."""
-    _require_finite(x, "x")
-    # even in x; write via |x| to avoid cosh overflow asymmetry
-    t = _SQRT2 * abs(x)
-    return _no_overflow((t + 2.0 * math.log1p(math.exp(-t))) / _SQRT2, "rotated_degenerate", x)
-
-
-def rotated_antiderivative(x: float) -> float:
-    """Antiderivative Li2(-e^{-x sqrt2}) + x^2/2 of the rotated degenerate form."""
-    _require_finite(x, "x")
-    if x >= 0.0:
-        F = li2_re(-math.exp(-_SQRT2 * x)) + 0.5 * x * x
-    else:  # the inversion formula, so that no e^{-x sqrt2} > 1 is formed
-        F = -li2_re(-math.exp(_SQRT2 * x)) - PI2_6 - 0.5 * x * x
-    return _no_overflow(F, "rotated_antiderivative", x)
 
 
 def inverse_pair_prediction(n: float) -> tuple:

@@ -228,17 +228,32 @@ def clausen_cl2(theta: float) -> float:
     if theta < 0.0:
         sign, theta = -1.0, -theta
     t = math.fmod(theta, 2.0 * math.pi)
-    if t == 0.0 or t == math.pi:
-        return 0.0
-    # phi = pi - t for the series about pi.  math.pi and 2*math.pi subtract
-    # exactly; the low parts of pi and 2pi are then added with one rounding.
-    if t > math.pi:
-        # odd symmetry about pi: Cl2(t) = -Cl2(2pi - t), and pi - (2pi - t) = t - pi
-        sign = -sign
-        phi = (t - math.pi) - 1.2246467991473532e-16
-        t = (2.0 * math.pi - t) + 2.4492935982947064e-16
+    if t == theta:
+        if t == 0.0 or t == math.pi:
+            return 0.0
+        c = 0.0
     else:
-        phi = (math.pi - t) + 1.2246467991473532e-16
+        # fmod is exact, but each of the k turns it takes off is 2*math.pi,
+        # 2.4492935982947064e-16 short of 2pi: the angle is t - c, c = k times
+        # that, with k the quotient (theta - t)/(2*math.pi) as it rounds.
+        # Above c = 1, some 4e15 turns, the angle t - c is reduced again.
+        c = (theta - t) / (2.0 * math.pi) * 2.4492935982947064e-16
+        if c > 1.0:
+            return sign * clausen_cl2(t - c)
+        if t == c:
+            return 0.0
+    # phi = pi - (t - c) for the series about pi.  math.pi and 2*math.pi
+    # subtract exactly; the low parts of pi and 2pi, with c, are then added
+    # with one rounding.
+    phi = (math.pi - t) + (1.2246467991473532e-16 + c)
+    if phi < 0.0:
+        # odd symmetry about pi: Cl2(t) = -Cl2(2pi - t), and pi - (2pi - t) = t - pi
+        sign, phi = -sign, -phi
+        t = (2.0 * math.pi - t) + (2.4492935982947064e-16 + c)
+    elif c:
+        t -= c
+        if t < 0.0:  # the angle is below a whole turn: Cl2(-t) = -Cl2(t)
+            sign, t = -sign, -t
     # Both series below (Lewin 1981, ch. 4) use a_k = |B_2k|/(2k (2k+1)!),
     # k = 1..15, by Horner's rule unrolled.  They split at t = 2, not at
     # 2pi/3, so that the rounded 2pi - t that reaches the series in t is at

@@ -15,7 +15,6 @@ from gemini_dilog.analysis import (
     integrate,
     solve_constant,
     solve_nstep,
-    solve_trinomial,
 )
 
 
@@ -135,36 +134,33 @@ class TestFindRoot:
         with pytest.raises(ValueError, match="finite lo > 0"):
             find_root(lambda x: x - 5.0, lo, math.inf)
 
+    @staticmethod
+    def _trinomial(n, m):
+        # x^n - x^m - 1, +inf where x^n overflows (above the root, f > 0)
+        def f(x):
+            try:
+                return x ** n - x ** m - 1.0
+            except OverflowError:
+                return math.inf
+        return f
 
-class TestAlgebraicSolvers:
-    def test_trinomial_golden_ratio(self):
-        phi = (1.0 + math.sqrt(5.0)) / 2.0
-        assert solve_trinomial(2, 1) == pytest.approx(phi, abs=1e-13)
-
-    def test_trinomial_back_substitutes(self):
-        for n, m in ((3, 1), (3, 2), (4, 1), (4, 3), (5, 4)):
-            x = solve_trinomial(n, m)
-            assert abs(x ** n - x ** m - 1.0) < 1e-12
-
-    def test_trinomial_domain(self):
-        with pytest.raises(ValueError):
-            solve_trinomial(1, 2)
-
-    # mpmath roots (60 digits); x**n overflows at the first bracket point 2.0
+    # mpmath roots (60 digits); f(hi) is already +inf at the first grown hi, 2.0
     @pytest.mark.parametrize("n, m, root", [
         (2000, 1, "1.000346720356469264162217"),
         (1100.0, 1.0, "1.000630619157104166879738"),
         (2000, 1100, "1.000504346092692941482072"),
     ])
-    def test_trinomial_large_n_to_a_few_ulps(self, n, m, root):
-        x = solve_trinomial(n, m)
+    def test_grown_bracket_with_infinite_f_hi(self, n, m, root):
+        x = find_root(self._trinomial(n, m), 1.0 + 1e-12, math.inf)
         assert abs(x - float(root)) <= 2.0 * math.ulp(x)
 
-    def test_trinomial_root_below_the_bracket_keeps_the_contract(self):
-        # the root lies below 1 + 1e-12, where x**n already overflows
+    def test_infinite_f_lo_is_a_bracket_error(self):
+        # the root lies below lo = 1 + 1e-12, where x^n already overflows
         with pytest.raises(BracketError):
-            solve_trinomial(1e300, 1.0)
+            find_root(self._trinomial(1e300, 1.0), 1.0 + 1e-12, math.inf)
 
+
+class TestAlgebraicSolvers:
     def test_nbonacci_limits(self):
         # N-bonacci constants increase toward 2, N-addinacci decrease toward 2
         prev = 0.0

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from gemini_dilog import catalog
@@ -104,6 +105,48 @@ class TestSampling:
 
         ps = catalog.ParamSpec("n", 2, 5, "integer")
         assert catalog._random_point(ps, Top()) == 5.0
+
+
+class TestFlaggedAt50Digits:
+    """The flagged entries' formulas, retyped in mpmath: the four that pass in
+    binary64 hold to 50 digits, and ramanujan-2 is short exactly ln 2 ln 3.
+    The catalog keeps them flagged; this pins what 50 digits say."""
+
+    @mpmath.workdps(50)
+    def test_flagged_residuals(self):
+        L = lambda x: mpmath.polylog(2, x)
+        ln, sqrt, pi2 = mpmath.log, mpmath.sqrt, mpmath.pi ** 2
+        sq2, sq5, ln2, ln3 = sqrt(2), sqrt(5), ln(2), ln(3)
+        phi = (1 + sq5) / 2
+        lphi, rphi = ln(phi), sqrt(phi)
+        th = mpmath.atan(sq2)
+        res = {
+            "g04-six-silver": 6 * L(sq2 - 1) + L((2 - sq2) / 4)
+            - (11 * pi2 / 24 - 3 * ln2 ** 2 / 8
+               - ln(3 - 2 * sq2) * ln(2 * sq2 - 2)
+               - 3 * ln(sq2 + 1) ** 2 / 2
+               - 3 * ln2 * ln(2 + sq2) / 2
+               + ln(sq2 + 1) * (ln2 / 2 + ln(2 + sq2))),
+            "g04-sqrt-phi": L((1 + rphi) / phi ** 2) + L(phi ** 3 - phi ** 2 * rphi)
+            - 17 * pi2 / 60 + 11 * lphi ** 2 / 8
+            + ln(phi ** 3 * rphi - phi ** 3) * ln(phi ** 2 * rphi - 2 * phi)
+            + ln(phi ** 3 * rphi - phi ** 3)
+            * ln(sqrt(phi ** 6 + phi ** 5 * rphi + phi ** 4 + 2 * phi ** 3 * rphi)),
+            "g04-four-term": 2 * L(1 / (phi * sq5)) - L(sq5 / phi ** 2)
+            + pi2 / 30 + ln(5) ** 2 / 8 + lphi * ln(125 / phi ** 7) / 2
+            + ln(phi ** 2 + 1) * ln(sqrt(phi ** 2 + 1) / phi ** 2),
+            "g10-item9": L(-0.5) + mpmath.re(L(mpmath.mpc(2, 2 * sq2)))
+            - pi2 / 12 + th ** 2 + ln2 ** 2 / 2 + ln3 ** 2 / 4,
+            "g05-ramanujan-2": L(0.25) + L(mpmath.mpf(1) / 9) / 3
+            - (pi2 / 18 - 2 * ln2 ** 2 + ln2 * ln3 - 2 * ln3 ** 2 / 3),
+        }
+        for eid in ("g04-six-silver", "g04-sqrt-phi", "g04-four-term", "g10-item9"):
+            assert abs(res[eid]) < 1e-40, (eid, res[eid])
+            assert catalog_entry(eid).expected == "flagged"
+        rel = mpmath.pslq([res["g05-ramanujan-2"], ln2 ** 2, ln2 * ln3, ln3 ** 2, pi2],
+                          maxcoeff=1000, maxsteps=10 ** 5)
+        # residual - ln 2 ln 3 = 0, up to the overall sign
+        assert rel in ([1, 0, -1, 0, 0], [-1, 0, 1, 0, 0]), rel
 
 
 class TestVerifyEntry:

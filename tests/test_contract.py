@@ -1,7 +1,7 @@
 """The error contract of the public numerics API.
 
-Every public function of ``polylog``, ``gemini`` and ``geometry``, and the
-algebraic solvers of ``analysis``, returns finite floats or complexes (tuples
+Every public function of ``polylog``, ``gemini`` and ``geometry``, and
+``analysis.solve_nstep``, returns finite floats or complexes (tuples
 and dataclass fields included) or raises ``ValueError`` (which ``BracketError``
 subclasses) or ``AccuracyError``.  Nothing else may escape: no
 ``ZeroDivisionError``, no ``OverflowError``, no silent inf or nan.  The
@@ -51,11 +51,6 @@ REPRODUCED = [
     (gemini.atot_of_a_p, (1.0, 1.4e154)),
     (gemini.atot_of_a_p, (1.0, -1.4e154)),
     (gemini.atot_of_a_p, (1.0, math.nan)),
-    (gemini.rotated_antiderivative, (-503.0,)),
-    (gemini.rotated_antiderivative, (-1.4e154,)),
-    (gemini.rotated_antiderivative, (1.4e155,)),
-    (gemini.rotated_degenerate, (1.3e308,)),
-    (gemini.rotated_degenerate, (DBL_MAX,)),
     (gemini.inverse_pair_prediction, (DBL_MAX,)),
     (gemini.inverse_pair_prediction, (math.inf,)),
     (analysis.solve_nstep, (646, "plus")),
@@ -116,8 +111,6 @@ CALLS = {
     gemini.area_ratio_rxa: (F, F),
     gemini.median: (F,),
     gemini.median_rule_residuals: (F,),
-    gemini.rotated_degenerate: (F,),
-    gemini.rotated_antiderivative: (F,),
     gemini.inverse_pair_prediction: (F,),
     gemini.inverse_pair_solve_a: (F,),
     gemini.scale_fit: (F, F),
@@ -135,7 +128,6 @@ CALLS = {
     geometry.arcgd: (F,),
     geometry.mamikon_area: (TOL,),
     geometry.pi_hole: (TOL,),
-    analysis.solve_trinomial: (F, F),
     analysis.solve_nstep: (st.one_of(st.integers(), F), st.sampled_from(("plus", "minus", "x"))),
 }
 

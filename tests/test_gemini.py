@@ -316,46 +316,6 @@ class TestMedian:
         assert gemini.median(m1) == pytest.approx(math.log(m1), abs=1e-5)
 
 
-class TestRotatedDegenerate:
-    def test_even(self):
-        for x in (0.1, 1.0, 3.0):
-            assert gemini.rotated_degenerate(-x) == pytest.approx(
-                gemini.rotated_degenerate(x), rel=1e-14)
-
-    def test_matches_definition(self):
-        for x in (-2.0, -0.5, 0.0, 0.5, 2.0, 40.0):
-            ref = math.log(2.0 * math.cosh(math.sqrt(2.0) * x) + 2.0) / math.sqrt(2.0)
-            assert gemini.rotated_degenerate(x) == pytest.approx(ref, rel=1e-13)
-
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-    def test_non_finite_is_a_value_error(self, x):
-        with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
-            gemini.rotated_degenerate(x)
-
-    def test_antiderivative_consistency(self):
-        h = 1e-6
-        for x in (-1.5, 0.0, 0.8, 2.0):
-            num = (gemini.rotated_antiderivative(x + h)
-                   - gemini.rotated_antiderivative(x - h)) / (2.0 * h)
-            assert num == pytest.approx(gemini.rotated_degenerate(x), abs=1e-8)
-
-    def test_antiderivative_against_mpmath(self):
-        # Li2(-e^{-x sqrt2}) + x^2/2 within 2 ulps on [-501, -1e-6], where the
-        # inversion formula evaluates it
-        with mpmath.workdps(40):
-            for t in grid(1e-6, 501.0, 200):
-                xm = -mpmath.mpf(float(t))
-                ref = float(mpmath.polylog(2, -mpmath.exp(-mpmath.sqrt(2) * xm)) + xm * xm / 2)
-                assert abs(gemini.rotated_antiderivative(-float(t)) - ref) <= 2.0 * math.ulp(ref), t
-
-    @pytest.mark.parametrize("x, ref", [(-503.0, -126506.14493406685), (-1e100, -5e199)])
-    def test_antiderivative_where_exp_overflows(self, x, ref):
-        # e^{-x sqrt2} overflows below x ~ -502, the value only where x^2/2 does
-        assert abs(gemini.rotated_antiderivative(x) - ref) <= 2.0 * math.ulp(ref)
-        with pytest.raises(ValueError, match="overflows binary64"):
-            gemini.rotated_antiderivative(-2e154)
-
-
 class TestInversePairs:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_solved_a_matches_table(self, n):

@@ -194,6 +194,28 @@ class TestClausen:
         err, at = _worst(polylog.clausen_cl2, ref, points)
         assert err <= 8.0 * 2.0 ** -52, f"{err / 2.0 ** -52:.2f} eps at theta = {at!r}"
 
+    def test_ulps_whole_turns(self):
+        # theta0 + 2k pi, k = 1..16: each turn that fmod takes off by the float
+        # 2*math.pi must be carried, with its low part, into the reduced angle,
+        # held at least 1e-9 from j pi, where the third part of 2pi is negligible;
+        # k*2*math.pi itself reduces to an angle next to zero
+        base = _logspace(1e-9, 2.0 * math.pi, 13)[:-1]
+        base += [t for d in (1e-9, 1e-6, 1e-3) for t in (math.pi - d, math.pi + d, 2.0 * math.pi - d)]
+        worst = (0.0, None)
+        with mpmath.workdps(40):
+            for k in range(1, 17):
+                points = [2.0 * k * math.pi]
+                for t in base:
+                    tau = mpmath.mpf(t + 2.0 * k * math.pi) % (2 * mpmath.pi)
+                    if min(abs(tau - j * mpmath.pi) for j in range(3)) >= 1e-9:
+                        points.append(t + 2.0 * k * math.pi)
+                for x in points:
+                    r = mpmath.clsin(2, mpmath.mpf(x) % (2 * mpmath.pi))
+                    for s in (1.0, -1.0):
+                        err = float(abs(polylog.clausen_cl2(s * x) - s * r)) / math.ulp(float(r))
+                        worst = max(worst, (err, s * x), key=lambda e: e[0])
+        assert worst[0] <= 3.0, f"{worst[0]:.2f} ulps at theta = {worst[1]!r}"
+
 
 class TestTrigamma:
     @pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 1.0, 1.5, 3.0, 10.5, 100.0])
