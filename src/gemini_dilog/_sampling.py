@@ -4,6 +4,9 @@
 bit-identical to ``numpy.linspace``.  ``geomspace`` raises 10 to a linspace
 of the log10 endpoints with libm's ``pow``; numpy's SIMD ``power`` may round
 a point the other way, so it can differ from ``numpy.geomspace`` by 1 ulp.
+Both held on every grid of ``tests/test_oracles.py::TestSamplingPinned``
+when its digests were taken from these functions; the digests now hold
+their outputs bit for bit.
 Both grids are generators and pin their last point (and geomspace its
 first) to the endpoint given.
 """

@@ -202,7 +202,7 @@ print(json.dumps(rows))
 
 
 def test_every_subcommand_runs_without_scipy():
-    # scipy and numpy are test oracles only: blocking their import changes no output
+    # scipy and numpy are benchmark references only: blocking their import changes no output
     argvs = json.dumps(_EVERY_SUBCOMMAND)
     outputs = []
     for prelude in ("", "import sys; sys.modules['scipy'] = sys.modules['numpy'] = None\n"):
