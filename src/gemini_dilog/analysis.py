@@ -419,11 +419,13 @@ def constants_table() -> Sequence[NamedConstant]:
                       lambda a: gemini._critical_a_residual(a, 2.0),
                       -0.514091, "PAPER", (-0.9, -0.1)),
     ]
+    # each row solves the second relation of the prediction, which rounds less than
+    # the paper's first: see gemini._inverse_pair_residuals
     for n, aval in _TABLE1_A.items():
         rows.append(NamedConstant(
             f"inverse_pair_a_n{n}",
             f"Li2(-a) = -((2n-1)/(n+1)) pi^2/6 - (n/(n+1)) ln^2(a)/2, n={n}",
-            (lambda a, _n=n: gemini._inverse_pair_residual(a, _n)), aval, "PAPER"))
+            (lambda a, _n=n: gemini._inverse_pair_residuals(a, _n)[1]), aval, "PAPER"))
     return tuple(rows)
 
 

@@ -31,13 +31,11 @@ from .analysis import (
 from .gemini import (
     GeminiParams,
     A_of_p,
-    _inverse_pair_residual,
+    _inverse_pair_residuals,
     area_ratio_r,
     area_ratio_rxa,
     atot_of_a_p,
-    critical_a,
     fixed_point,
-    inverse_pair_prediction,
     median,
     median_rule_residuals,
     scale_fit,
@@ -318,9 +316,8 @@ def _fibonacci_pair(nf: float) -> complex:
 
 
 def _inverse_pair(a: float, n: float) -> complex:
-    _, (A2, B2) = inverse_pair_prediction(n)
-    r2 = L(-1.0 / a) - A2 * PI2_6 - B2 * ln(a) ** 2
-    return complex(abs(_inverse_pair_residual(a, n)), abs(r2))
+    r1, r2 = _inverse_pair_residuals(a, n)
+    return complex(abs(r1), abs(r2))
 
 
 def _median_half_area(a: float) -> complex:
@@ -941,7 +938,7 @@ def _five_term_median(m: float) -> complex:
 
 def _g12() -> list:
     def critical_derivative() -> complex:
-        a = critical_a(2.0)
+        a = _const("a_crit_p2")
         h = 1e-5
         d = (atot_of_a_p(a + h, 2.0) - atot_of_a_p(a - h, 2.0)) / (2.0 * h)
         return complex(d)

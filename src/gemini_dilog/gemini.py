@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .analysis import BracketError, find_root
+from .analysis import find_root
 from .polylog import PI2_6, _require_finite, li2_re
 
 __all__ = [
@@ -41,10 +41,8 @@ __all__ = [
     "median",
     "median_rule_residuals",
     "inverse_pair_prediction",
-    "inverse_pair_solve_a",
     "scale_fit",
     "atot_of_a_p",
-    "critical_a",
     "A_of_p",
 ]
 
@@ -245,27 +243,16 @@ def inverse_pair_prediction(n: float) -> tuple:
     return (c1, c2)
 
 
-def _inverse_pair_residual(a: float, n: float) -> float:
-    # the first relation of inverse_pair_prediction(n): Li2(-a) = A pi^2/6 + B ln^2(a)
-    (A, B), _ = inverse_pair_prediction(n)
-    return li2_re(-a) - A * PI2_6 - B * math.log(a) ** 2
+def _inverse_pair_residuals(a: float, n: float) -> tuple:
+    """Residuals at a of the two relations of inverse_pair_prediction(n).
 
-
-def inverse_pair_solve_a(n: float) -> float:
-    """Solve the inverse-pair prediction for the shape factor a.
-
-    The root lies above 1 for n > 1 and in (0, 1) for n < 1, where the
-    prediction's symmetry a(n) = 1/a(1/n) gives it: n -> 1/n swaps the two
-    coefficient pairs, and the inversion formula maps the first relation
-    onto the second.
+    The inversion formula makes the first residual minus the second.  For a root
+    a > 1 solve the second: its terms are about n times smaller than those of the
+    first, where Li2(-a) and B ln^2(a) cancel, so it carries n times less rounding.
     """
-    inverse_pair_prediction(n)  # the domain check on n
-    if n < 1.0:
-        return 1.0 / inverse_pair_solve_a(1.0 / n)
-    f = lambda a: _inverse_pair_residual(a, n)
-    if abs(f(1.0)) < 1e-13:
-        return 1.0
-    return find_root(f, 1.0 + 1e-9, math.inf)
+    (A, B), (A2, B2) = inverse_pair_prediction(n)
+    la2 = math.log(a) ** 2
+    return (li2_re(-a) - A * PI2_6 - B * la2, li2_re(-1.0 / a) - A2 * PI2_6 - B2 * la2)
 
 
 def scale_fit(a1: float, a2: float) -> float:
@@ -286,21 +273,9 @@ def atot_of_a_p(a: float, p: float) -> float:
 
 
 def _critical_a_residual(a: float, p: float) -> float:
-    # ((a+p)/(2a)) ln(1+a) = A_tot(a), whose left side tends to p/2 at a = 0
-    if a == 0.0:
-        return 0.5 * p - PI2_6
+    # ((a+p)/(2a)) ln(1+a) = A_tot(a): the shape factor where the scale factor
+    # starts to dominate A_tot(a, p)
     return (a + p) / (2.0 * a) * math.log(1.0 + a) - _atot(a)
-
-
-def critical_a(p: float) -> float:
-    """Shape factor where the scale factor starts to dominate A_tot(a, p)."""
-    f = lambda a: _critical_a_residual(a, p)
-    if abs(f(0.0)) < 1e-13:
-        return 0.0
-    try:
-        return find_root(f, -1.0 + 1e-9, -1e-10)
-    except BracketError:
-        return find_root(f, 1e-10, 1e6)
 
 
 def A_of_p(p: float) -> float:

@@ -38,8 +38,6 @@ SPECIAL = (
 # inputs that broke the contract before it was enforced, and edges where the
 # gemini function is finite although a naive form of it overflows
 REPRODUCED = [
-    (gemini.inverse_pair_solve_a, (1.2418461352273484e-05,)),
-    (gemini.inverse_pair_solve_a, (1.926097818855344e-05,)),
     (gemini.value, (GeminiParams(709.78, 1.4222345118556956e16), 2.225073858507203e-309)),
     (gemini.value, (GeminiParams(1.7e308), 1e-10)),
     (gemini.symmetric_partner, (1.0, 710.0)),
@@ -112,10 +110,8 @@ CALLS = {
     gemini.median: (F,),
     gemini.median_rule_residuals: (F,),
     gemini.inverse_pair_prediction: (F,),
-    gemini.inverse_pair_solve_a: (F,),
     gemini.scale_fit: (F, F),
     gemini.atot_of_a_p: (F, F),
-    gemini.critical_a: (F,),
     gemini.A_of_p: (F,),
     geometry.geminoid_volume: (P,),
     geometry.geminoid_volume_quad: (P, TOL),

@@ -316,49 +316,6 @@ class TestMedian:
         assert gemini.median(m1) == pytest.approx(math.log(m1), abs=1e-5)
 
 
-class TestInversePairs:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-    def test_solved_a_matches_table(self, n):
-        from gemini_dilog.analysis import constant_by_id, solve_constant
-        ref = solve_constant(constant_by_id(f"inverse_pair_a_n{n}"))
-        assert gemini.inverse_pair_solve_a(float(n)) == pytest.approx(ref,
-                                                                      abs=1e-10)
-
-    def test_prediction_consistent(self):
-        # both coefficient pairs reproduce Li2 at the solved shape factor
-        from gemini_dilog.polylog import PI2_6, li2_real
-        n = 3.0
-        a = gemini.inverse_pair_solve_a(n)
-        (A, B), (A2, B2) = gemini.inverse_pair_prediction(n)
-        la2 = math.log(a) ** 2
-        assert li2_real(-a).real == pytest.approx(A * PI2_6 + B * la2, abs=1e-10)
-        assert li2_real(-1.0 / a).real == pytest.approx(A2 * PI2_6 + B2 * la2,
-                                                        abs=1e-10)
-
-    def test_n_one_gives_unit_shape(self):
-        assert gemini.inverse_pair_solve_a(1.0) == 1.0
-
-    # mpmath roots on (0, 1), where f(1) < 0 and f -> +inf as a -> 0+
-    @pytest.mark.parametrize("n, ref", [
-        (0.5, 0.28317511448398600),
-        (0.25, 0.067754459529931364),
-        (0.8, 0.67159719966475455),
-    ])
-    def test_n_below_one(self, n, ref):
-        assert gemini.inverse_pair_solve_a(n) == pytest.approx(ref, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [1.2418461352273484e-05, 1.926097818855344e-05])
-    def test_tiny_n(self, n):
-        # Brent's interpolation divided by zero on the way to these roots; the
-        # equation fixes ln(1/a) ~ 500 only to ~1e-9 relative in binary64
-        a = gemini.inverse_pair_solve_a(n)
-        (A, B), _ = gemini.inverse_pair_prediction(1.0 / n)
-        with mpmath.workdps(40):
-            la = mpmath.findroot(lambda t: mpmath.polylog(2, -mpmath.exp(t))
-                                 - A * mpmath.pi ** 2 / 6 - B * t ** 2, -math.log(a))
-            assert a == pytest.approx(float(mpmath.exp(-la)), rel=1e-7)
-
-
 class TestScaleAndCritical:
     def test_scale_fit_matches_areas(self):
         b = gemini.scale_fit(1.0, 3.0)
@@ -372,9 +329,6 @@ class TestScaleAndCritical:
     def test_atot_normalization(self):
         assert gemini.atot_of_a_p(1.0, 1.0) == pytest.approx(
             gemini.total_area(GeminiParams(1.0)) / 4.0, rel=1e-13)
-
-    def test_critical_a_p2(self):
-        assert gemini.critical_a(2.0) == pytest.approx(-0.514091, abs=1e-5)
 
     def test_A_of_p_at_two(self):
         assert gemini.A_of_p(2.0) == pytest.approx(math.pi ** 2 / 4.0,
