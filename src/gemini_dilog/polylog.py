@@ -10,9 +10,12 @@ Li2 and Li3 each have one series kernel: a fixed-degree Bernoulli series in
 w = -ln(1-z) ('t Hooft & Veltman, Nucl. Phys. B153 (1979) 365; Maximon,
 Proc. R. Soc. A 459 (2003) 2807), evaluated by Horner's rule on the reduced
 domain |z| <= 1, Re z <= 1/2, where |w| <= pi/3 (|w| <= ln 2 for real
-arguments).  Any argument reaches that domain in at most one inversion
-z -> 1/z followed by at most one reflection z -> 1 - z (for Li3 on (1/2, 1),
-the three-term identity).  Cl2 is real arithmetic alone: after the odd
+arguments).  Real and complex Li2 share one map of three disjoint regions,
+and each argument takes exactly one transformation: reflection z -> 1 - z
+on the disc |1 - z| <= 1 with Re z > 1/2 (on the real axis, (1/2, 2]); else
+inversion z -> 1/z for |z| > 1; else the series in z itself.  Li3 takes the
+same regions on x <= 1, with the three-term identity in place of the
+reflection on (1/2, 1).  Cl2 is real arithmetic alone: after the odd
 symmetry and one reduction modulo 2pi, the classical Clausen series in t
 serves t <= 2 and the series in pi - t serves t in (2, pi] (Lewin,
 Polylogarithms and Associated Functions, 1981, ch. 4; Abramowitz & Stegun
@@ -159,7 +162,10 @@ def li2_complex(z: complex) -> complex:
     """Principal-branch dilogarithm of a complex argument.
 
     On the cut (z real, z > 1) the lower-lip limit is used, matching
-    ``li2_real``.
+    ``li2_real``.  Off the real axis z takes exactly one transformation, by
+    the map that ``li2_re`` applies on the axis: reflection on the disc
+    |1 - z| <= 1 with Re z > 1/2, else inversion for |z| > 1, else the
+    series in z itself.
     """
     if type(z) is not complex:
         z = complex(z)
@@ -167,23 +173,23 @@ def li2_complex(z: complex) -> complex:
         raise ValueError("argument must be finite")
     if z.imag == 0.0:
         return li2_real(z.real)
-    # Li2(z) = acc + sign * Li2(z') after the reductions below
-    acc, sign = 0.0, 1.0
-    if math.hypot(z.real, z.imag) > 1.0:  # abs(z) raises OverflowError near DBL_MAX
-        # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2
-        acc, sign = -PI2_6 - 0.5 * cmath.log(-z) ** 2, -1.0
-        z = 1.0 / z
-    if z.real > 0.5:
+    if z.real > 0.5 and math.hypot(1.0 - z.real, z.imag) <= 1.0:
         # reflection: Li2(z) = pi^2/6 - ln(z) ln(1-z) - Li2(1-z), and
-        # -ln(1-(1-z)) = -ln(z) because 1-z is exact for Re z in [1/2, 2]
+        # -ln(1-(1-z)) = -ln(z) because 1-z is exact for Re z in [1/2, 2];
+        # on this disc |ln z| <= pi/3, with equality at z = 1/2 +- i*sqrt(3)/2
         ln = cmath.log(z)
-        acc += sign * (PI2_6 - ln * cmath.log(1.0 - z))
-        return acc - sign * _li2_series(-ln)
-    # w = -log1p(-z) by Kahan's trick: cmath has no log1p, and the rounding
-    # of u = 1 - z would otherwise cost digits for small |z|
-    u = 1.0 - z
-    w = z if u == 1.0 else -cmath.log(u) * (z / (1.0 - u))
-    return acc + sign * _li2_series(w)
+        return PI2_6 - ln * cmath.log(1.0 - z) - _li2_series(-ln)
+    # off the disc, or with Re z <= 1/2, 1/z has |1/z| < 1 and Re(1/z) < 1/2
+    inverted = math.hypot(z.real, z.imag) > 1.0  # abs(z) raises OverflowError near DBL_MAX
+    v = 1.0 / z if inverted else z
+    # w = -log1p(-v) by Kahan's trick: cmath has no log1p, and the rounding
+    # of u = 1 - v would otherwise cost digits for small |v|
+    u = 1.0 - v
+    series = _li2_series(v if u == 1.0 else -cmath.log(u) * (v / (1.0 - u)))
+    if inverted:
+        # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2
+        return -PI2_6 - 0.5 * cmath.log(-z) ** 2 - series
+    return series
 
 
 def li3_real(x: float) -> float:

@@ -22,6 +22,9 @@ from gemini_dilog import cli
 
 ARGV = [
     ["eval", "li2", "0.5"],
+    ["eval", "li2c", "1.0000000001", "0.00000001"],  # just outside |z| = 1 near z = 1
+    ["eval", "li2c", "1.2", "-0.9"],  # the lens |z| > 1, |1 - z| < 1
+    ["eval", "li2c", "3", "-0.0"],  # the lower lip of the cut
     ["eval", "cl2", "-0.000000001"],
     ["eval", "cl2", "9.5"],
     ["eval", "cl2", "9.424778"],

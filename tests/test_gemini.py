@@ -6,6 +6,7 @@ import random
 import mpmath
 import pytest
 
+from _accuracy import ulps
 from gemini_dilog import gemini
 from gemini_dilog._sampling import geomspace
 from gemini_dilog.analysis import integrate
@@ -154,10 +155,6 @@ class TestTotalAreaAgainstMpmath:
     SHAPES = _total_area_shapes()
 
     @staticmethod
-    def _ulps(got, ref):
-        return float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
-
-    @staticmethod
     def _atot(a):
         return mpmath.pi ** 2 / 6 - mpmath.polylog(2, -mpmath.mpf(a))
 
@@ -166,17 +163,17 @@ class TestTotalAreaAgainstMpmath:
             for a in self.SHAPES:
                 atot = self._atot(a)
                 x0 = mpmath.log1p(mpmath.sqrt(1 + mpmath.mpf(a)))
-                assert self._ulps(gemini.total_area(GeminiParams(a)), atot) <= 2.5, a
-                assert self._ulps(gemini.fixed_point(a), x0) <= 1.5, a
-                assert self._ulps(gemini.area_ratio_r(a), atot / x0 ** 2) <= 4.0, a
-                assert self._ulps(gemini.atot_of_a_p(a, 2.0), atot / (a + 2) ** 2) <= 4.0, a
+                assert ulps(gemini.total_area(GeminiParams(a)), atot) <= 2.5, a
+                assert ulps(gemini.fixed_point(a), x0) <= 1.5, a
+                assert ulps(gemini.area_ratio_r(a), atot / x0 ** 2) <= 4.0, a
+                assert ulps(gemini.atot_of_a_p(a, 2.0), atot / (a + 2) ** 2) <= 4.0, a
 
     def test_continuous_across_the_switch(self):
         # the neighbouring floats of a = -1/2 take the reflected and the direct form
         below, above = math.nextafter(-0.5, -1.0), math.nextafter(-0.5, 0.0)
         with mpmath.workdps(40):
             for a in (below, -0.5, above):
-                assert self._ulps(gemini.total_area(GeminiParams(a)), self._atot(a)) <= 2.5, a
+                assert ulps(gemini.total_area(GeminiParams(a)), self._atot(a)) <= 2.5, a
         lo, mid, hi = (gemini.total_area(GeminiParams(a)) for a in (below, -0.5, above))
         assert abs(mid - lo) <= 2.0 * math.ulp(mid)
         assert abs(hi - mid) <= 2.0 * math.ulp(mid)

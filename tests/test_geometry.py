@@ -6,6 +6,7 @@ import random
 import mpmath
 import pytest
 
+from _accuracy import ulps
 from gemini_dilog import geometry
 from gemini_dilog.analysis import AccuracyError, constant_by_id, solve_constant
 from gemini_dilog.gemini import GeminiParams
@@ -81,19 +82,15 @@ def _volume_shapes():
 class TestVolumeAgainstMpmath:
     SHAPES = _volume_shapes()
 
-    @staticmethod
-    def _ulps(got, ref):
-        return float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
-
     def test_within_a_few_ulps(self):
         # bounds sit just above the worst of 3,000 seeded points per band
         with mpmath.workdps(40):
             for a in self.SHAPES:
                 vtot = mpmath.zeta(3) - mpmath.polylog(3, -mpmath.mpf(a))
                 x0 = mpmath.log1p(mpmath.sqrt(1 + mpmath.mpf(a)))
-                assert self._ulps(geometry.geminoid_volume(GeminiParams(a)),
-                                  2 * mpmath.pi * vtot) <= 5.5, a
-                assert self._ulps(geometry.volume_ratio(a), 2 * vtot / x0 ** 3) <= 7.5, a
+                assert ulps(geometry.geminoid_volume(GeminiParams(a)),
+                            2 * mpmath.pi * vtot) <= 5.5, a
+                assert ulps(geometry.volume_ratio(a), 2 * vtot / x0 ** 3) <= 7.5, a
 
     def test_degenerate_volume_is_zero(self):
         assert geometry.geminoid_volume(GeminiParams(-1.0)) == 0.0
